@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-smoke lint-graph-smoke verify bench bench-hotpath alloc-check metrics-smoke chaos-smoke handover-smoke arena-smoke hybrid-smoke mem-check clean
+.PHONY: all build vet test race lint lint-smoke lint-graph-smoke verify fuzz-smoke bench bench-hotpath alloc-check metrics-smoke chaos-smoke handover-smoke arena-smoke hybrid-smoke mem-check clean
 
 all: verify
 
@@ -62,6 +62,7 @@ verify:
 	$(MAKE) lint-smoke
 	$(MAKE) lint-graph-smoke
 	$(GO) test -race -timeout 30m ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) alloc-check
 	$(MAKE) metrics-smoke
 	$(MAKE) chaos-smoke
@@ -69,6 +70,16 @@ verify:
 	$(MAKE) arena-smoke
 	$(MAKE) hybrid-smoke
 	$(MAKE) mem-check
+
+# Differential fuzz gate for the §5.4 slot kernel: FuzzSlotKernel drives
+# the event-driven SimulateTraceChaos and the per-slot reference with
+# fuzzed fault windows, TX counts, re-lock times, standby blocking and
+# off-grid synthetic traces for ~5 s. Any divergence in result, sink runs
+# or metrics exposition fails the target, and the fuzzer saves the input
+# under internal/sim/testdata/fuzz/FuzzSlotKernel/ for replay by go test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 5s ./internal/sim/
+	@echo "fuzz-smoke: ok"
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc
 # contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA

@@ -655,8 +655,10 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 			Windows: OcclusionWindows(tx, tr, occs),
 		}
 		run := userRun{}
-		run.res = sim.SimulateTraceChaosSlots(tr, p, &sched, reg, func(slot int, off bool) {
-			run.off = append(run.off, off)
+		run.res = sim.SimulateTraceChaos(tr, p, &sched, reg, func(_, n int, off bool) {
+			for ; n > 0; n-- {
+				run.off = append(run.off, off)
+			}
 		})
 		runs[k] = run
 		agg.Slots += run.res.Slots

@@ -261,17 +261,11 @@ func (h *HandHeld) synthesize() {
 }
 
 // TracePlayback replays a recorded (or synthesized) viewing trace,
-// re-homed so the trace's first pose lands on Base.
+// re-homed so the trace's first pose lands on Base. Pose only reads the
+// struct, so one playback is safe to share across goroutines.
 type TracePlayback struct {
 	Base geom.Pose
 	T    trace.Trace
-
-	once syncptr
-}
-
-type syncptr struct {
-	done bool
-	tf   geom.Pose
 }
 
 // Duration implements Program.
@@ -279,14 +273,10 @@ func (p *TracePlayback) Duration() time.Duration { return p.T.Duration() }
 
 // Pose implements Program.
 func (p *TracePlayback) Pose(t time.Duration) geom.Pose {
-	if !p.once.done {
-		p.once.done = true
-		if len(p.T.Samples) > 0 {
-			// tf maps trace coordinates onto the rig: Base ∘ first⁻¹.
-			p.once.tf = p.Base.Compose(p.T.Samples[0].Pose.Inverse())
-		} else {
-			p.once.tf = geom.PoseIdentity()
-		}
+	// tf maps trace coordinates onto the rig: Base ∘ first⁻¹.
+	tf := geom.PoseIdentity()
+	if len(p.T.Samples) > 0 {
+		tf = p.Base.Compose(p.T.Samples[0].Pose.Inverse())
 	}
-	return p.once.tf.Compose(p.T.PoseAt(t))
+	return tf.Compose(p.T.PoseAt(t))
 }

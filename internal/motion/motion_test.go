@@ -2,6 +2,7 @@ package motion
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,6 +170,31 @@ func TestTracePlaybackRehomed(t *testing.T) {
 	}
 	if p.Duration() != tr.Duration() {
 		t.Error("duration mismatch")
+	}
+}
+
+// One TracePlayback shared by several goroutines (parallel corpus or
+// arena workers replaying the same program) must be safe to read
+// concurrently — run under -race — and every goroutine must see the
+// serial poses bit for bit.
+func TestTracePlaybackConcurrentPose(t *testing.T) {
+	tr := trace.Generate(3, 0, time.Second, geom.V(2, 3, 4))
+	var shared Program = &TracePlayback{Base: basePose(), T: tr}
+	want := (&TracePlayback{Base: basePose(), T: tr}).Pose(500 * time.Millisecond)
+	var wg sync.WaitGroup
+	got := make([]geom.Pose, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = shared.Pose(500 * time.Millisecond)
+		}()
+	}
+	wg.Wait()
+	for g, pose := range got {
+		if pose != want {
+			t.Errorf("goroutine %d: pose %v, want %v", g, pose, want)
+		}
 	}
 }
 

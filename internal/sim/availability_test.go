@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/obs"
 	"cyclops/internal/trace"
 )
 
@@ -131,8 +132,15 @@ func TestFig16CorpusRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus simulation in -short mode")
 	}
-	traces := trace.Dataset(16, geom.V(0.35, 0.25, 1.0))
-	c := SimulateCorpus(traces, Paper25G())
+	src := trace.Source{Seed: 16, N: trace.DatasetTraces, Length: time.Minute, Origin: geom.V(0.35, 0.25, 1.0)}
+	run, err := RunCorpus(src, CorpusOptions{KeepPerTrace: true, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := CorpusResult{MeanOnFraction: run.MeanOnFraction, MinOnFraction: run.MinOnFraction, MaxOnFraction: run.MaxOnFraction}
+	for _, r := range run.PerTrace {
+		c.PerTrace = append(c.PerTrace, r.TraceResult)
+	}
 	t.Logf("%v", c)
 
 	// Fig 16: operational ≈98.6 % of slots on average, per-trace range
@@ -178,32 +186,42 @@ func TestFig16CorpusRegime(t *testing.T) {
 }
 
 func TestSimulateCorpusWorkerDeterminism(t *testing.T) {
-	// The §5.4 engine's contract: any worker count — including the
-	// default pool — produces a CorpusResult bit-identical to the serial
-	// loop. 40 shorter traces keep this fast enough to run everywhere.
+	// The §5.4 engine's contract on a materialized clean corpus: any
+	// worker count — including the default pool — produces a result
+	// bit-identical to the serial loop. 40 shorter traces keep this fast
+	// enough to run everywhere.
 	origin := geom.V(0.35, 0.25, 1.0)
-	traces := make([]trace.Trace, 40)
+	traces := make(TraceSlice, 40)
 	for i := range traces {
 		traces[i] = trace.Generate(5, i, 10*time.Second, origin)
 	}
-	serial := SimulateCorpusWorkers(traces, Paper25G(), 1)
-	for _, workers := range []int{4, 8} {
-		got := SimulateCorpusWorkers(traces, Paper25G(), workers)
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: CorpusResult differs from serial", workers)
-		}
+	opts := func(workers int) CorpusOptions {
+		return CorpusOptions{Params: Paper25G(), Workers: workers, KeepPerTrace: true, Registry: obs.NewRegistry()}
 	}
-	if got := SimulateCorpus(traces, Paper25G()); !reflect.DeepEqual(got, serial) {
-		t.Error("default-worker SimulateCorpus differs from serial")
+	serial, err := RunCorpus(traces, opts(1))
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	for _, workers := range []int{0, 4, 8} {
+		got, err := RunCorpus(traces, opts(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers=%d: CorpusRunResult differs from serial", workers)
+		}
 	}
 }
 
 func TestCorpusEmpty(t *testing.T) {
-	c := SimulateCorpus(nil, Paper25G())
-	if c.MeanOnFraction != 0 || len(c.PerTrace) != 0 {
-		t.Error("empty corpus nonzero")
+	run, err := RunCorpus(TraceSlice(nil), CorpusOptions{KeepPerTrace: true, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	xs, ys := c.DisconnectionCDF(10)
+	if run.Traces != 0 || run.MeanOnFraction != 0 || len(run.PerTrace) != 0 || !run.Checkpoint.Done {
+		t.Errorf("empty corpus nonzero: %+v", run)
+	}
+	xs, ys := CorpusResult{}.DisconnectionCDF(10)
 	if xs != nil || ys != nil {
 		t.Error("empty corpus CDF nonempty")
 	}

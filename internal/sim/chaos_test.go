@@ -20,7 +20,7 @@ func TestChaosEmptyScheduleMatchesBase(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr := trace.Generate(5, i, 10*time.Second, origin)
 		base := SimulateTrace(tr, Paper25G())
-		got := SimulateTraceChaos(tr, PaperChaos25G(), nil, nil)
+		got := SimulateTraceChaos(tr, PaperChaos25G(), nil, nil, nil)
 		if !reflect.DeepEqual(got.TraceResult, base) {
 			t.Fatalf("trace %d: empty-schedule chaos result differs from SimulateTrace", i)
 		}
@@ -28,7 +28,7 @@ func TestChaosEmptyScheduleMatchesBase(t *testing.T) {
 			t.Fatalf("trace %d: empty schedule produced outages", i)
 		}
 		empty := &fault.Schedule{Seed: 1}
-		got2 := SimulateTraceChaos(tr, PaperChaos25G(), empty, nil)
+		got2 := SimulateTraceChaos(tr, PaperChaos25G(), empty, nil, nil)
 		if !reflect.DeepEqual(got2, got) {
 			t.Fatalf("trace %d: windowless schedule differs from nil schedule", i)
 		}
@@ -46,7 +46,7 @@ func TestChaosOcclusionEpisode(t *testing.T) {
 		DepthDB: 30, Ramp: 10 * time.Millisecond,
 	}}}
 	reg := obs.NewRegistry()
-	got := SimulateTraceChaos(tr, p, sched, reg)
+	got := SimulateTraceChaos(tr, p, sched, reg, nil)
 	base := SimulateTrace(tr, p.AvailabilityParams)
 
 	if got.Outages != 1 {
@@ -83,7 +83,7 @@ func TestChaosStuckGalvoDegrades(t *testing.T) {
 	sched := &fault.Schedule{Windows: []fault.Window{{
 		Kind: fault.GalvoStuck, Start: 1 * time.Second, End: 4 * time.Second,
 	}}}
-	got := SimulateTraceChaos(tr, p, sched, nil)
+	got := SimulateTraceChaos(tr, p, sched, nil, nil)
 	base := SimulateTrace(tr, p.AvailabilityParams)
 	if got.BlockedSlots != 0 {
 		t.Errorf("stuck galvo is not an occlusion: BlockedSlots = %d", got.BlockedSlots)
@@ -110,7 +110,7 @@ func TestChaosSingleTXBitIdentical(t *testing.T) {
 		reg := obs.NewRegistry()
 		q := p
 		q.TXCount = txCount
-		return SimulateTraceChaos(tr, q, sched, reg), reg.Exposition()
+		return SimulateTraceChaos(tr, q, sched, reg, nil), reg.Exposition()
 	}
 	r0, e0 := run(0)
 	r1, e1 := run(1)
@@ -142,7 +142,7 @@ func TestChaosMultiTXRescue(t *testing.T) {
 
 	p.StandbyBlockProb = 0 // standby always clear
 	reg := obs.NewRegistry()
-	rescued := SimulateTraceChaos(tr, p, sched, reg)
+	rescued := SimulateTraceChaos(tr, p, sched, reg, nil)
 	if rescued.Handovers != 1 {
 		t.Errorf("Handovers = %d, want 1", rescued.Handovers)
 	}
@@ -160,17 +160,17 @@ func TestChaosMultiTXRescue(t *testing.T) {
 	}
 
 	p.StandbyBlockProb = 1 // standby always shadowed too
-	doomed := SimulateTraceChaos(tr, p, sched, obs.NewRegistry())
+	doomed := SimulateTraceChaos(tr, p, sched, obs.NewRegistry(), nil)
 	single := p
 	single.TXCount = 1
-	base := SimulateTraceChaos(tr, single, sched, obs.NewRegistry())
+	base := SimulateTraceChaos(tr, single, sched, obs.NewRegistry(), nil)
 	if doomed.Handovers != 0 || doomed.Outages != base.Outages || doomed.BlockedSlots != base.BlockedSlots {
 		t.Errorf("fully-shadowed multi-TX run differs from single-TX: %+v vs %+v",
 			doomed, base)
 	}
 
 	// Same parameters, same seed: bit-identical replay.
-	again := SimulateTraceChaos(tr, p, sched, obs.NewRegistry())
+	again := SimulateTraceChaos(tr, p, sched, obs.NewRegistry(), nil)
 	if !reflect.DeepEqual(again, doomed) {
 		t.Error("multi-TX chaos run not reproducible")
 	}
@@ -196,16 +196,15 @@ func TestStandbyBlockProbForSpacing(t *testing.T) {
 	}
 }
 
+// The chaos corpus under the default fault mix (blackouts, stuck galvos,
+// divergence on top of occlusions) is bit-identical at any worker count,
+// and every per-trace availability stays inside [0, 1].
 func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
-	origin := geom.V(0.35, 0.25, 1.0)
-	traces := make([]trace.Trace, 24)
-	for i := range traces {
-		traces[i] = trace.Generate(5, i, 5*time.Second, origin)
-	}
-	cfg := fault.DefaultConfig()
+	src := trace.Source{Seed: 5, N: 24, Length: 5 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)}
 	p := PaperChaos25G()
 	p.Relock = 200 * time.Millisecond
-	serial, err := SimulateChaosCorpus(context.Background(), traces, p, cfg, 99, 1)
+	chaos := &CorpusChaos{Config: fault.DefaultConfig(), Seed: 99, Params: p}
+	serial, err := RunCorpus(src, runOpts(1, chaos))
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -213,12 +212,12 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 		t.Fatal("default fault config injected no outages — test is vacuous")
 	}
 	for _, workers := range []int{4, 8} {
-		got, err := SimulateChaosCorpus(context.Background(), traces, p, cfg, 99, workers)
+		got, err := RunCorpus(src, runOpts(workers, chaos))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: ChaosCorpusResult differs from serial", workers)
+			t.Errorf("workers=%d: CorpusRunResult differs from serial", workers)
 		}
 		if got.Metrics.Exposition() != serial.Metrics.Exposition() {
 			t.Errorf("workers=%d: metrics exposition differs from serial", workers)
@@ -234,13 +233,20 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// A pre-canceled context stops a chaos corpus run before it simulates
+// anything and surfaces context.Canceled.
 func TestSimulateChaosCorpusCancellation(t *testing.T) {
-	traces := []trace.Trace{trace.Generate(5, 1, 2*time.Second, geom.V(0.35, 0.25, 1.0))}
+	traces := TraceSlice{trace.Generate(5, 1, 2*time.Second, geom.V(0.35, 0.25, 1.0))}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateChaosCorpus(ctx, traces, PaperChaos25G(), fault.DefaultConfig(), 1, 2)
+	opts := runOpts(2, &CorpusChaos{Config: fault.DefaultConfig(), Seed: 1, Params: PaperChaos25G()})
+	opts.Context = ctx
+	run, err := RunCorpus(traces, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if run.Checkpoint.Done || run.Traces != 0 {
+		t.Errorf("canceled run simulated %d traces (Done=%v)", run.Traces, run.Checkpoint.Done)
 	}
 }
 

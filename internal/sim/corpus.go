@@ -1,9 +1,8 @@
-// The streaming corpus engine: the one entry point behind which the
-// historical SimulateCorpus / SimulateCorpusWorkers / SimulateChaosCorpus
-// triplet now sits. A corpus is an indexed CorpusSource — traces are
-// produced on demand, never materialized as a whole — cut into fixed-size
-// shards that fan out through parallel.MapCtx and reduce serially, in
-// shard order, into a running aggregate. The engine's contract:
+// The streaming corpus engine: RunCorpus is the one corpus entry point,
+// clean or under fault injection. A corpus is an indexed CorpusSource —
+// traces are produced on demand, never materialized as a whole — cut
+// into fixed-size shards that fan out through parallel.MapCtx and reduce
+// serially, in shard order, into a running aggregate. The engine's contract:
 //
 //   - bit-identical results for any worker count (the shard partition is a
 //     function of the options alone, never of the worker count, and every
@@ -304,98 +303,44 @@ type CorpusRunResult struct {
 	PerTrace []ChaosTraceResult
 }
 
-// RunCorpus streams a corpus through the sharded slot-model engine. It is
-// the single replacement for SimulateCorpus, SimulateCorpusWorkers, and
-// SimulateChaosCorpus: clean or chaos (Options.Chaos), any worker count
-// with bit-identical results, memory-bounded unless KeepPerTrace, and
-// resumable via the returned Checkpoint. On cancellation the partial
-// result and its Checkpoint are returned alongside the context's error.
-func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
-	if err := opts.Validate(); err != nil {
-		return CorpusRunResult{}, err
-	}
-	cfg := corpusConfig{
-		ctx:          opts.Context,
-		params:       opts.Params,
-		workers:      opts.Workers,
-		shardSize:    opts.ShardSize,
-		keepPerTrace: opts.KeepPerTrace,
-		registry:     opts.Registry,
-		resume:       opts.Resume,
-		maxShards:    opts.MaxShards,
-	}
-	if opts.Chaos != nil {
-		cfg.chaos = &chaosRun{
-			cfg:    opts.Chaos.Config,
-			seed:   opts.Chaos.Seed,
-			params: opts.Chaos.Params,
-			hybrid: opts.Chaos.Hybrid,
-			mmOnly: opts.Chaos.MmWaveOnly,
-		}
-	}
-	return runCorpus(src, cfg)
-}
-
-// corpusConfig is the fully resolved form of CorpusOptions. The deprecated
-// wrappers construct it directly, bypassing Validate's defaulting, so
-// their behavior is pinned to the historical one for every input.
-type corpusConfig struct {
-	ctx          context.Context
-	params       AvailabilityParams
-	chaos        *chaosRun
-	workers      int
-	shardSize    int
-	keepPerTrace bool
-	registry     *obs.Registry
-	resume       Checkpoint
-	maxShards    int
-}
-
-type chaosRun struct {
-	cfg    fault.Config
-	seed   int64
-	params ChaosParams
-	hybrid *HybridSlotParams
-	mmOnly *MmWaveSlotParams
-}
-
 // shardOut is one shard's contribution, reduced serially by the caller.
 type shardOut struct {
 	agg      CorpusAggregate
 	perTrace []ChaosTraceResult
 }
 
-func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
-	ctx := cfg.ctx
-	if ctx == nil {
-		ctx = context.Background()
+// RunCorpus streams a corpus through the sharded slot-model engine: clean
+// or chaos (Options.Chaos), any worker count with bit-identical results,
+// memory-bounded unless KeepPerTrace, and resumable via the returned
+// Checkpoint. On cancellation the partial result and its Checkpoint are
+// returned alongside the context's error.
+func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
+	if err := opts.Validate(); err != nil {
+		return CorpusRunResult{}, err
 	}
 	n := src.Len()
-	shardSize := cfg.shardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
+	shardSize := opts.ShardSize
 	nShards := (n + shardSize - 1) / shardSize
 
-	agg := cfg.resume.Agg
-	start := cfg.resume.NextShard
+	agg := opts.Resume.Agg
+	start := opts.Resume.NextShard
 	if start > nShards {
 		start = nShards
 	}
 	end := nShards
-	if cfg.maxShards > 0 && start+cfg.maxShards < end {
-		end = start + cfg.maxShards
+	if opts.MaxShards > 0 && start+opts.MaxShards < end {
+		end = start + opts.MaxShards
 	}
 
 	res := CorpusRunResult{}
-	if cfg.keepPerTrace {
+	if opts.KeepPerTrace {
 		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*shardSize)
 	}
 
 	// Batches bound the in-flight shard results; the batch width affects
 	// only concurrency, never the reduction order, so it may derive from
 	// the worker count without breaking the determinism contract.
-	workers := cfg.workers
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
@@ -408,8 +353,8 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 		agg.finalize()
 		res.CorpusAggregate = agg
 		res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
-		if err == nil && res.Checkpoint.Done && cfg.registry != nil {
-			cfg.registry.Merge(agg.Metrics)
+		if err == nil && res.Checkpoint.Done {
+			opts.Registry.Merge(agg.Metrics)
 		}
 		return res, err
 	}
@@ -419,21 +364,21 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 		if hi > end {
 			hi = end
 		}
-		outs, err := parallel.MapCtx(ctx, hi-lo, cfg.workers, func(_ context.Context, k int) (shardOut, error) {
+		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers, func(_ context.Context, k int) (shardOut, error) {
 			shard := lo + k
 			tLo := shard * shardSize
 			tHi := tLo + shardSize
 			if tHi > n {
 				tHi = n
 			}
-			return runShard(src, cfg, tLo, tHi), nil
+			return runShard(src, opts, tLo, tHi), nil
 		})
 		if err != nil {
 			return finish(lo, err)
 		}
 		for _, so := range outs {
 			agg.merge(so.agg)
-			if cfg.keepPerTrace {
+			if opts.KeepPerTrace {
 				res.PerTrace = append(res.PerTrace, so.perTrace...)
 			}
 		}
@@ -443,9 +388,9 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 
 // runShard simulates traces [lo, hi) serially and folds them — results and
 // per-trace metric snapshots alike — in trace order.
-func runShard(src CorpusSource, cfg corpusConfig, lo, hi int) shardOut {
+func runShard(src CorpusSource, opts CorpusOptions, lo, hi int) shardOut {
 	var out shardOut
-	if cfg.keepPerTrace {
+	if opts.KeepPerTrace {
 		out.perTrace = make([]ChaosTraceResult, 0, hi-lo)
 	}
 	// One sample buffer per shard: each trace is fully consumed by its
@@ -461,23 +406,23 @@ func runShard(src CorpusSource, cfg corpusConfig, lo, hi int) shardOut {
 		}
 		reg := obs.NewRegistry()
 		var r ChaosTraceResult
-		if cfg.chaos != nil {
-			sched := fault.Plan(cfg.chaos.cfg, cfg.chaos.seed+7919*int64(i), tr.Duration())
+		if c := opts.Chaos; c != nil {
+			sched := fault.Plan(c.Config, c.Seed+7919*int64(i), tr.Duration())
 			switch {
-			case cfg.chaos.hybrid != nil:
-				r = SimulateTraceHybrid(tr, cfg.chaos.params, *cfg.chaos.hybrid, &sched, reg)
-			case cfg.chaos.mmOnly != nil:
-				r = SimulateTraceMmWave(tr, cfg.chaos.params, *cfg.chaos.mmOnly, &sched, reg)
+			case c.Hybrid != nil:
+				r = SimulateTraceHybrid(tr, c.Params, *c.Hybrid, &sched, reg)
+			case c.MmWaveOnly != nil:
+				r = SimulateTraceMmWave(tr, c.Params, *c.MmWaveOnly, &sched, reg)
 			default:
-				r = SimulateTraceChaos(tr, cfg.chaos.params, &sched, reg)
+				r = SimulateTraceChaos(tr, c.Params, &sched, reg, nil)
 			}
 		} else {
-			// The clean path keeps the event-driven fast loop — the chaos
-			// per-slot loop is never paid without a schedule.
-			r = ChaosTraceResult{TraceResult: SimulateTraceObs(tr, cfg.params, reg)}
+			// The clean path registers only the per-trace sim series.
+			r.TraceResult = SimulateTrace(tr, opts.Params)
+			recordTrace(reg, r.Slots, r.OffSlots, r.OnFraction)
 		}
 		out.agg.addTrace(r, reg.Snapshot())
-		if cfg.keepPerTrace {
+		if opts.KeepPerTrace {
 			out.perTrace = append(out.perTrace, r)
 		}
 		if reuse != nil {

@@ -11,7 +11,6 @@ import (
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
-	"cyclops/internal/parallel"
 	"cyclops/internal/trace"
 )
 
@@ -63,7 +62,7 @@ func TestRunCorpusWorkerDeterminism(t *testing.T) {
 			t.Fatalf("chaos run fired %d outages / %d handovers — test is vacuous",
 				serial.Outages, serial.Handovers)
 		}
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{0, 2, 4, 8} {
 			got, err := RunCorpus(src, runOpts(workers, chaos))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -180,140 +179,34 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestSimulateCorpusWrapperBitIdentical pins the deprecated wrapper to the
-// pre-engine algorithm, re-implemented inline: MapObs fan-out, MergeAll
-// per-trace metrics fold, serial min/max/mean reduction. Every field —
-// including the float histogram sums in the metrics snapshot — must match
-// bit for bit, because single-trace shards reproduce the old fold's
-// association exactly.
-func TestSimulateCorpusWrapperBitIdentical(t *testing.T) {
-	src := testSource(40)
-	traces := Materialize(src, 0)
-	p := Paper25G()
-
-	var old CorpusResult
-	old.PerTrace, old.Metrics = parallel.MapObs(len(traces), 2, func(i int, reg *obs.Registry) TraceResult {
-		return SimulateTraceObs(traces[i], p, reg)
-	})
-	var slots, off int
-	for i, r := range old.PerTrace {
-		slots += r.Slots
-		off += r.OffSlots
-		if i == 0 {
-			old.MinOnFraction, old.MaxOnFraction = r.OnFraction, r.OnFraction
-		} else {
-			if r.OnFraction < old.MinOnFraction {
-				old.MinOnFraction = r.OnFraction
-			}
-			if r.OnFraction > old.MaxOnFraction {
-				old.MaxOnFraction = r.OnFraction
-			}
-		}
-	}
-	if slots > 0 {
-		old.MeanOnFraction = 1 - float64(off)/float64(slots)
-	}
-
-	got := SimulateCorpusWorkers(traces, p, 2)
-	if !reflect.DeepEqual(got, old) {
-		t.Error("SimulateCorpusWorkers differs from the historical algorithm")
-	}
-	if got.Metrics.Exposition() != old.Metrics.Exposition() {
-		t.Error("wrapper metrics exposition differs from the historical fold")
-	}
-}
-
-// TestSimulateChaosCorpusWrapperBitIdentical is the chaos twin: the
-// wrapper must reproduce the historical MapCtx + MergeAll pipeline bit for
-// bit, per-episode rescue draws included.
-func TestSimulateChaosCorpusWrapperBitIdentical(t *testing.T) {
-	src := testSource(40)
-	traces := Materialize(src, 0)
-	spec := testChaos()
-
-	type job struct {
-		res  ChaosTraceResult
-		snap obs.Snapshot
-	}
-	var old ChaosCorpusResult
-	outs, err := parallel.MapCtx(context.Background(), len(traces), 2, func(_ context.Context, i int) (job, error) {
-		reg := obs.NewRegistry()
-		sched := fault.Plan(spec.Config, spec.Seed+7919*int64(i), traces[i].Duration())
-		return job{res: SimulateTraceChaos(traces[i], spec.Params, &sched, reg), snap: reg.Snapshot()}, nil
-	})
-	if err != nil {
-		t.Fatalf("historical pipeline: %v", err)
-	}
-	old.PerTrace = make([]ChaosTraceResult, len(outs))
-	snaps := make([]obs.Snapshot, len(outs))
-	for i, o := range outs {
-		old.PerTrace[i] = o.res
-		snaps[i] = o.snap
-	}
-	old.Metrics = obs.MergeAll(snaps)
-	var slots, off int
-	for i, r := range old.PerTrace {
-		slots += r.Slots
-		off += r.OffSlots
-		old.Outages += r.Outages
-		old.BlockedSlots += r.BlockedSlots
-		old.Handovers += r.Handovers
-		if i == 0 {
-			old.MinOnFraction, old.MaxOnFraction = r.OnFraction, r.OnFraction
-		} else {
-			if r.OnFraction < old.MinOnFraction {
-				old.MinOnFraction = r.OnFraction
-			}
-			if r.OnFraction > old.MaxOnFraction {
-				old.MaxOnFraction = r.OnFraction
-			}
-		}
-	}
-	if slots > 0 {
-		old.MeanOnFraction = 1 - float64(off)/float64(slots)
-	}
-	if old.Outages == 0 || old.Handovers == 0 {
-		t.Fatalf("historical pipeline fired %d outages / %d handovers — test is vacuous",
-			old.Outages, old.Handovers)
-	}
-
-	got, err := SimulateChaosCorpus(context.Background(), traces, spec.Params, spec.Config, spec.Seed, 2)
-	if err != nil {
-		t.Fatalf("wrapper: %v", err)
-	}
-	if !reflect.DeepEqual(got, old) {
-		t.Error("SimulateChaosCorpus differs from the historical algorithm")
-	}
-	if got.Metrics.Exposition() != old.Metrics.Exposition() {
-		t.Error("wrapper metrics exposition differs from the historical fold")
-	}
-}
-
-// TestSimulateTraceChaosSlotsSink checks the per-slot sink fires once per
-// slot, in order, with verdicts that total exactly OffSlots.
+// TestSimulateTraceChaosSlotsSink checks the run-length sink tiles the
+// trace: runs arrive in slot order, each at least one slot long, covering
+// every slot exactly once with verdicts that total exactly OffSlots.
 func TestSimulateTraceChaosSlotsSink(t *testing.T) {
 	tr := testSource(1).At(0)
 	spec := testChaos()
 	sched := fault.Plan(spec.Config, spec.Seed, tr.Duration())
-	var calls, offs, lastSlot int
-	lastSlot = -1
-	res := SimulateTraceChaosSlots(tr, spec.Params, &sched, nil, func(slot int, off bool) {
-		if slot != lastSlot+1 {
-			t.Fatalf("sink slot %d after %d — not in order", slot, lastSlot)
+	var runs, covered, offs int
+	res := SimulateTraceChaos(tr, spec.Params, &sched, nil, func(slot, n int, off bool) {
+		if slot != covered || n < 1 {
+			t.Fatalf("sink run (%d, %d) after %d slots — not a tiling", slot, n, covered)
 		}
-		lastSlot = slot
-		calls++
+		runs++
+		covered += n
 		if off {
-			offs++
+			offs += n
 		}
 	})
-	if calls != res.Slots {
-		t.Errorf("sink fired %d times over %d slots", calls, res.Slots)
+	if covered != res.Slots {
+		t.Errorf("sink runs covered %d slots of %d", covered, res.Slots)
+	}
+	if runs >= res.Slots {
+		t.Errorf("sink fired %d runs over %d slots — no run-length coalescing", runs, res.Slots)
 	}
 	if offs != res.OffSlots {
 		t.Errorf("sink saw %d off slots, result has %d", offs, res.OffSlots)
 	}
-	plain := SimulateTraceChaos(tr, spec.Params, &sched, nil)
+	plain := SimulateTraceChaos(tr, spec.Params, &sched, nil, nil)
 	if !reflect.DeepEqual(plain, res) {
 		t.Error("sink changed the simulation result")
 	}

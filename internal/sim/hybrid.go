@@ -99,33 +99,35 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 	secondarySlots := 0
 	var goodputSum float64
 
-	res := SimulateTraceChaosSlots(tr, p, sched, reg, func(slot int, off bool) {
-		at := time.Duration(slot) * p.Slot
-		var fs fault.State
-		if !sched.Empty() {
-			fs = sched.At(at)
-		}
-		mmUp := mm.step(at, fs.AttenDB-fs.HazeDB)
-		st := ctl.Observe(at, p.Slot, !off)
-
-		deliveredOff := off
-		if st.OnSecondary() {
-			secondarySlots++
-			deliveredOff = !mmUp
-			if mmUp {
-				goodputSum += hp.Secondary.PeakGoodputGbps
+	res := SimulateTraceChaos(tr, p, sched, reg, func(slot, n int, off bool) {
+		for ; n > 0; slot, n = slot+1, n-1 {
+			at := time.Duration(slot) * p.Slot
+			var fs fault.State
+			if !sched.Empty() {
+				fs = sched.At(at)
 			}
-		} else if !off {
-			goodputSum += hp.PrimaryGoodputGbps
-		}
-		if deliveredOff {
-			offSlots++
-			frameOff++
-		}
-		slotInFrame++
-		if slotInFrame == 30 {
-			hist[frameOff]++
-			slotInFrame, frameOff = 0, 0
+			mmUp := mm.step(at, fs.AttenDB-fs.HazeDB)
+			st := ctl.Observe(at, p.Slot, !off)
+
+			deliveredOff := off
+			if st.OnSecondary() {
+				secondarySlots++
+				deliveredOff = !mmUp
+				if mmUp {
+					goodputSum += hp.Secondary.PeakGoodputGbps
+				}
+			} else if !off {
+				goodputSum += hp.PrimaryGoodputGbps
+			}
+			if deliveredOff {
+				offSlots++
+				frameOff++
+			}
+			slotInFrame++
+			if slotInFrame == 30 {
+				hist[frameOff]++
+				slotInFrame, frameOff = 0, 0
+			}
 		}
 	})
 	if slotInFrame > 0 {

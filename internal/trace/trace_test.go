@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/parallel"
 )
 
 func degPerSec(rad float64) float64 { return rad * 180 / math.Pi }
@@ -152,21 +153,27 @@ func TestEulerRoundTrip(t *testing.T) {
 	}
 }
 
+// datasetSource is the §5.4 corpus as a streaming source.
+func datasetSource() Source {
+	return Source{Seed: 11, N: DatasetTraces, Length: time.Minute, Origin: geom.V(0.35, 0.25, 1.0)}
+}
+
 func TestDatasetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-trace corpus in -short mode")
 	}
-	ds := Dataset(11, geom.V(0.35, 0.25, 1.0))
-	if len(ds) != 500 {
-		t.Fatalf("dataset has %d traces, want 500", len(ds))
+	src := datasetSource()
+	if src.Len() != 500 {
+		t.Fatalf("dataset has %d traces, want 500", src.Len())
 	}
 	// IDs unique.
 	seen := map[string]bool{}
-	for _, tr := range ds {
-		if seen[tr.ID] {
-			t.Fatalf("duplicate trace ID %s", tr.ID)
+	for i := 0; i < src.Len(); i++ {
+		id := src.At(i).ID
+		if seen[id] {
+			t.Fatalf("duplicate trace ID %s", id)
 		}
-		seen[tr.ID] = true
+		seen[id] = true
 	}
 }
 
@@ -174,10 +181,10 @@ func TestDatasetWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-trace corpus ×3 in -short mode")
 	}
-	origin := geom.V(0.35, 0.25, 1.0)
-	serial := DatasetWorkers(11, origin, 1)
+	src := datasetSource()
+	serial := parallel.Map(src.Len(), 1, src.At)
 	for _, workers := range []int{4, 8} {
-		got := DatasetWorkers(11, origin, workers)
+		got := parallel.Map(src.Len(), workers, src.At)
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: corpus differs from serial generation", workers)
 		}
