@@ -77,8 +77,12 @@ verify:
 # off-grid synthetic traces for ~5 s. Any divergence in result, sink runs
 # or metrics exposition fails the target, and the fuzzer saves the input
 # under internal/sim/testdata/fuzz/FuzzSlotKernel/ for replay by go test.
+# FuzzRunOptionsValidate then spends ~3 s on core.Run's option validator:
+# fuzzed primary and standby fault windows must never panic it, and any
+# schedule it accepts must be in Start order with 0 <= Start <= End.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunOptionsValidate$$' -fuzztime 3s ./internal/core/
 	@echo "fuzz-smoke: ok"
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc

@@ -25,5 +25,5 @@ func main() {
 	fmt.Println()
 	fmt.Printf("handover recovered %.0f%% of the occluded time.\n",
 		(r.TwoTX.LightFraction-r.SingleTX.LightFraction)/(1-r.SingleTX.LightFraction)*100)
-	fmt.Println("(the §3 sketch, quantified — see internal/handover for the controller)")
+	fmt.Println("(the §3 sketch, quantified — the controller is RunOptions.Handover, DESIGN.md §11)")
 }

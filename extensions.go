@@ -5,7 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"cyclops/internal/arena"
 	"cyclops/internal/baseline"
+	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/handover"
 	"cyclops/internal/link"
@@ -23,28 +25,36 @@ import (
 // HandoverResult compares single-TX and two-TX deployments under
 // identical occlusion traffic.
 type HandoverResult struct {
-	SingleTX handover.Result
-	TwoTX    handover.Result
+	SingleTX HandoverArm
+	TwoTX    HandoverArm
+}
+
+// HandoverArm summarizes one deployment's occlusion run.
+type HandoverArm struct {
+	// LightFraction is the share of samples whose optical power cleared
+	// the receiver sensitivity (Sample.PowerOK).
+	LightFraction float64
+	// UpFraction includes SFP re-lock penalties after each dark period.
+	UpFraction float64
+	// Handovers counts TX switches, failbacks to the primary included.
+	Handovers int
 }
 
 // ExtensionHandover runs the §3 occlusion study: an occluder parks on the
-// primary path half of each 20 s cycle; the two-TX array hands the link
-// over, the single-TX baseline waits it out.
+// primary path half of each 20 s cycle; the two-TX deployment hands the
+// link over, the single-TX baseline waits it out. Both arms are core.Run
+// runs on oracle models with the occluder compiled to fault windows per
+// path.
 func ExtensionHandover(seed int64) (HandoverResult, error) {
-	positions := []geom.Vec3{
-		{X: 0, Y: 0, Z: link.CeilingHeight},
-		{X: 1.2, Y: 0.8, Z: link.CeilingHeight},
-	}
 	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: 60 * time.Second}
 
-	run := func(enable bool) (handover.Result, error) {
-		a, err := handover.NewArray(Link10G, seed, positions)
-		if err != nil {
-			return handover.Result{}, err
-		}
-		mid := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
+	run := func(twoTX bool) (HandoverArm, error) {
+		sys := NewSystem(Link10G, seed)
+		sys.UseOracleModels()
+		primary := sys.Plant
+		mid := primary.TXMountTruth().Trans.Lerp(primary.RXWorldPose().Trans, 0.5)
 		away := mid.Add(geom.V(-2, -2, 0))
-		a.Occluders = []handover.Occluder{{
+		occs := []arena.Occluder{{
 			Radius: 0.15,
 			Path: func(t time.Duration) geom.Vec3 {
 				if (t/time.Second)%20 >= 10 {
@@ -53,7 +63,39 @@ func ExtensionHandover(seed int64) (HandoverResult, error) {
 				return away
 			},
 		}}
-		return a.Run(handover.RunOptions{Program: prog, Enable: enable})
+		pathFaults := func(pl *link.Plant) *fault.Schedule {
+			wins := arena.OcclusionWindows(pl.TXMountTruth().Trans, prog.Pose, prog.Duration(), occs)
+			// The occluder jumps into the path rather than sweeping across
+			// the beam: hard edges, not the arena's limb-speed ramp.
+			for i := range wins {
+				wins[i].Ramp = 0
+			}
+			return &fault.Schedule{Seed: seed, Windows: wins}
+		}
+
+		opts := RunOptions{Program: prog, SampleEvery: time.Millisecond, Faults: pathFaults(primary)}
+		if twoTX {
+			standbys := handover.StandbysFor(Link10G, seed, []geom.Vec3{{X: 1.2, Y: 0.8, Z: link.CeilingHeight}})
+			opts.Handover = &HandoverOptions{
+				Standbys:      standbys,
+				StandbyFaults: []*fault.Schedule{pathFaults(standbys[0])},
+			}
+		}
+		res, err := sys.Run(opts)
+		if err != nil {
+			return HandoverArm{}, err
+		}
+		light := 0
+		for _, s := range res.Samples {
+			if s.PowerOK {
+				light++
+			}
+		}
+		return HandoverArm{
+			LightFraction: float64(light) / float64(len(res.Samples)),
+			UpFraction:    res.UpFraction,
+			Handovers:     res.Handovers,
+		}, nil
 	}
 
 	var r HandoverResult

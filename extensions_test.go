@@ -24,6 +24,12 @@ func TestExtensionHandover(t *testing.T) {
 	if r.TwoTX.Handovers == 0 {
 		t.Error("no handovers executed")
 	}
+	// Make-before-break rides the switch through the SFP's LOS holdover,
+	// so the link-up gain matches the light gain: no re-lock is paid.
+	if r.TwoTX.UpFraction < r.SingleTX.UpFraction+0.5 {
+		t.Errorf("handover up %.2f vs single-TX %.2f — re-lock not avoided",
+			r.TwoTX.UpFraction, r.SingleTX.UpFraction)
+	}
 	if !strings.Contains(r.Render(), "handovers") {
 		t.Error("render missing content")
 	}

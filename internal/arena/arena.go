@@ -24,7 +24,6 @@ import (
 
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
-	"cyclops/internal/handover"
 	"cyclops/internal/link"
 	"cyclops/internal/netem"
 	"cyclops/internal/obs"
@@ -35,9 +34,9 @@ import (
 )
 
 // Physical constants of the crowd model. Torso and arm are the two
-// occluder spheres each neighboring user contributes (handover.Occluder
-// semantics: an opaque sphere swept along a path); sway is the slow
-// shuffle of a standing spectator around their home spot.
+// occluder spheres each neighboring user contributes (Occluder semantics:
+// an opaque sphere swept along a path); sway is the slow shuffle of a
+// standing spectator around their home spot.
 const (
 	// HeadHeight is the headset optical bench height (matches
 	// link.DefaultHeadsetPose's 1.0 m Trans.Z — the RX the beam must
@@ -254,10 +253,18 @@ func (l Layout) Home(i int) geom.Vec3 {
 	)
 }
 
+// Occluder is a moving opaque sphere that blocks any beam path passing
+// through it.
+type Occluder struct {
+	Radius float64
+	// Path gives the center position over time.
+	Path func(t time.Duration) geom.Vec3
+}
+
 // Occluder builds the two opaque spheres user i's body presents to
 // neighboring beams: torso and raised arm, both swaying around the home
 // spot with a seeded phase and period.
-func (l Layout) Occluder(i int) [2]handover.Occluder {
+func (l Layout) Occluder(i int) [2]Occluder {
 	home := l.Home(i)
 	amp := SwayAmplitude * (0.5 + 0.5*hashUnit(l.Seed, i, 3))
 	phase := 2 * math.Pi * hashUnit(l.Seed, i, 4)
@@ -272,7 +279,7 @@ func (l Layout) Occluder(i int) [2]handover.Occluder {
 			return geom.V(home.X+dx, home.Y+dy, z)
 		}
 	}
-	return [2]handover.Occluder{
+	return [2]Occluder{
 		{Radius: OccluderRadius, Path: path(TorsoHeight)},
 		{Radius: OccluderRadius, Path: path(ArmHeight)},
 	}
@@ -350,12 +357,13 @@ func hashUnit(seed int64, i, salt int) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
-// OcclusionWindows traces the TX→head beam against the occluder set and
-// returns the blocked intervals as fault windows. The beam is sampled
-// every OcclusionStep; consecutive blocked samples merge into one window.
-func OcclusionWindows(tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []fault.Window {
+// OcclusionWindows traces the TX→head beam against the occluder set over
+// [0, dur] and returns the blocked intervals as fault windows. pose gives
+// the head pose over time (a trace's PoseAt, a motion program's Pose). The
+// beam is sampled every OcclusionStep; consecutive blocked samples merge
+// into one window.
+func OcclusionWindows(tx geom.Vec3, pose func(time.Duration) geom.Pose, dur time.Duration, occs []Occluder) []fault.Window {
 	var wins []fault.Window
-	dur := tr.Duration()
 	blockedFrom := time.Duration(-1)
 	flush := func(end time.Duration) {
 		if blockedFrom >= 0 {
@@ -370,7 +378,7 @@ func OcclusionWindows(tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []
 		}
 	}
 	for t := time.Duration(0); t <= dur; t += OcclusionStep {
-		seg := geom.Segment{A: tx, B: tr.PoseAt(t).Trans}
+		seg := geom.Segment{A: tx, B: pose(t).Trans}
 		blocked := false
 		for _, oc := range occs {
 			if seg.DistanceTo(oc.Path(t)) < oc.Radius {
@@ -645,14 +653,14 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 	runs := make([]userRun, len(served))
 	for k, i := range served {
 		tr := l.Trace(i, opts.TraceLen)
-		var occs []handover.Occluder
+		var occs []Occluder
 		for _, j := range l.Neighbors(i) {
 			pair := l.Occluder(j)
 			occs = append(occs, pair[0], pair[1])
 		}
 		sched := fault.Schedule{
 			Seed:    opts.Seed + 7919*int64(i),
-			Windows: OcclusionWindows(tx, tr, occs),
+			Windows: OcclusionWindows(tx, tr.PoseAt, tr.Duration(), occs),
 		}
 		run := userRun{}
 		run.res = sim.SimulateTraceChaos(tr, p, &sched, reg, func(_, n int, off bool) {

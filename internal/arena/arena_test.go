@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/geom"
 	"cyclops/internal/handover"
+	"cyclops/internal/link"
+	"cyclops/internal/motion"
 	"cyclops/internal/obs"
+	"cyclops/internal/optics"
 )
 
 // testOpts is a small but non-degenerate venue: 32 users over 16 cells,
@@ -108,12 +112,12 @@ func TestOcclusionWindowsFire(t *testing.T) {
 	for i := 0; i < l.Users; i++ {
 		tr := l.Trace(i, time.Minute)
 		tx := l.TXPos(l.CellOf(i))
-		var occs []handover.Occluder
+		var occs []Occluder
 		for _, j := range l.Neighbors(i) {
 			pair := l.Occluder(j)
 			occs = append(occs, pair[0], pair[1])
 		}
-		wins := OcclusionWindows(tx, tr, occs)
+		wins := OcclusionWindows(tx, tr.PoseAt, tr.Duration(), occs)
 		prev := time.Duration(-1)
 		for _, w := range wins {
 			if w.Start < prev || w.End <= w.Start {
@@ -128,6 +132,45 @@ func TestOcclusionWindowsFire(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no occlusion windows anywhere at density 1.0 — the crowd model is inert")
+	}
+}
+
+// TestOcclusionWindowsParkedOccluder compiles the §3 handover study's
+// occluder — a 0.15 m sphere parked on TX 0's path midpoint during seconds
+// 10–20 of each 20 s cycle, 2 m away otherwise — over a static minute. The
+// primary path gets exactly one window per cycle; the standby TX's path,
+// 1.4 m across the ceiling, is never blocked.
+func TestOcclusionWindowsParkedOccluder(t *testing.T) {
+	const seed = 51
+	cfg := optics.Diverging10G16mm
+	primary := link.NewPlant(cfg, seed)
+	standby := handover.StandbysFor(cfg, seed, []geom.Vec3{{X: 1.2, Y: 0.8, Z: link.CeilingHeight}})[0]
+	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Minute}
+
+	mid := primary.TXMountTruth().Trans.Lerp(primary.RXWorldPose().Trans, 0.5)
+	away := mid.Add(geom.V(-2, -2, 0))
+	occs := []Occluder{{
+		Radius: 0.15,
+		Path: func(t time.Duration) geom.Vec3 {
+			if (t/time.Second)%20 >= 10 {
+				return mid
+			}
+			return away
+		},
+	}}
+
+	wins := OcclusionWindows(primary.TXMountTruth().Trans, prog.Pose, prog.Duration(), occs)
+	if len(wins) != 3 {
+		t.Fatalf("primary path: %d windows, want 3: %+v", len(wins), wins)
+	}
+	for k, w := range wins {
+		start := time.Duration(10+20*k) * time.Second
+		if w.Start != start || w.End != start+10*time.Second {
+			t.Errorf("window %d = [%v, %v), want [%v, %v)", k, w.Start, w.End, start, start+10*time.Second)
+		}
+	}
+	if got := OcclusionWindows(standby.TXMountTruth().Trans, prog.Pose, prog.Duration(), occs); len(got) != 0 {
+		t.Errorf("standby path blocked: %+v", got)
 	}
 }
 

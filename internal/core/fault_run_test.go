@@ -175,6 +175,12 @@ func TestRunOptionsValidateFaults(t *testing.T) {
 	bad := []fault.Schedule{
 		{Windows: []fault.Window{{Kind: fault.Occlusion, Start: -time.Second, End: time.Second}}},
 		{Windows: []fault.Window{{Kind: fault.Occlusion, Start: 2 * time.Second, End: time.Second}}},
+		// Out of Start order: Schedule.At would never reach the second
+		// window.
+		{Windows: []fault.Window{
+			{Kind: fault.Occlusion, Start: 800 * time.Millisecond, End: 900 * time.Millisecond},
+			{Kind: fault.Occlusion, Start: 100 * time.Millisecond, End: 500 * time.Millisecond},
+		}},
 	}
 	for i := range bad {
 		s := oracleSystem(optics.Diverging10G16mm, 1)

@@ -138,7 +138,8 @@ func TestRunHandoverAllPathsBlocked(t *testing.T) {
 }
 
 // Handover option validation: standbys are required, a fault schedule must
-// be armed, and StandbyFaults must match the standby count.
+// be armed, StandbyFaults must match the standby count, and every standby
+// schedule passes the same window checks as the primary's.
 func TestRunOptionsValidateHandover(t *testing.T) {
 	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
 	standbys := handover.StandbysFor(optics.Diverging10G16mm, 1, handover.RingPositions(1, 1.4))
@@ -158,6 +159,19 @@ func TestRunOptionsValidateHandover(t *testing.T) {
 		{"negative duration", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
 			Standbys: standbys, LOSHold: -time.Millisecond,
 		}}},
+		{"malformed standby window", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
+			Standbys: standbys,
+			StandbyFaults: []*fault.Schedule{{Windows: []fault.Window{
+				occlusionAt(500*time.Millisecond, 100*time.Millisecond),
+			}}},
+		}}},
+		{"unsorted standby windows", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
+			Standbys: standbys,
+			StandbyFaults: []*fault.Schedule{{Windows: []fault.Window{
+				occlusionAt(800*time.Millisecond, 900*time.Millisecond),
+				occlusionAt(100*time.Millisecond, 500*time.Millisecond),
+			}}},
+		}}},
 	}
 	for _, c := range cases {
 		s := oracleSystem(optics.Diverging10G16mm, 1)
@@ -167,11 +181,59 @@ func TestRunOptionsValidateHandover(t *testing.T) {
 	}
 }
 
+// FuzzRunOptionsValidate feeds Validate arbitrary primary and standby fault
+// windows. Validate must never panic, and whatever it accepts must be a
+// schedule Schedule.At reads correctly: every window has 0 ≤ Start ≤ End,
+// in Start order. Each window is four bytes — a signed 16-bit start in
+// milliseconds, a signed 8-bit span in 4 ms units, a kind — and the first
+// split%17 windows go to the primary path, the rest to the standby.
+func FuzzRunOptionsValidate(f *testing.F) {
+	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
+	standbys := handover.StandbysFor(optics.Diverging10G16mm, 1, handover.RingPositions(1, 1.4))
+	f.Fuzz(func(t *testing.T, split uint8, windows []byte) {
+		var primary, standby fault.Schedule
+		for k := 0; len(windows) >= 4 && k < 32; k++ {
+			b := windows[:4]
+			windows = windows[4:]
+			start := time.Duration(int16(uint16(b[0])<<8|uint16(b[1]))) * time.Millisecond
+			w := fault.Window{
+				Kind:    fault.Kind(b[3] % 7),
+				Start:   start,
+				End:     start + time.Duration(int8(b[2]))*4*time.Millisecond,
+				DepthDB: 40,
+			}
+			if k < int(split%17) {
+				primary.Windows = append(primary.Windows, w)
+			} else {
+				standby.Windows = append(standby.Windows, w)
+			}
+		}
+		opts := RunOptions{Program: prog, Faults: &primary, Handover: &HandoverOptions{
+			Standbys:      standbys,
+			StandbyFaults: []*fault.Schedule{&standby},
+		}}
+		if opts.Validate() != nil {
+			return
+		}
+		for k, wins := range [][]fault.Window{primary.Windows, standby.Windows} {
+			for i, w := range wins {
+				if w.Start < 0 || w.End < w.Start {
+					t.Fatalf("path %d: accepted window %d outside 0 ≤ Start ≤ End: %+v", k, i, w)
+				}
+				if i > 0 && w.Start < wins[i-1].Start {
+					t.Fatalf("path %d: accepted window %d out of Start order: %v after %v",
+						k, i, w.Start, wins[i-1].Start)
+				}
+			}
+		}
+	})
+}
+
 // The closed-interval fencepost of core.Run is deliberate and load-bearing:
 // a run of duration D at tick T produces D/T + 1 samples, landing on both
-// endpoints. internal/sim and internal/handover use the half-open D/T
-// convention instead — do not unify them; every published RunResult was
-// produced by this loop shape.
+// endpoints. internal/sim uses the half-open D/T convention instead — do
+// not unify them; every published RunResult was produced by this loop
+// shape.
 func TestRunClosedLoopConvention(t *testing.T) {
 	s := oracleSystem(optics.Diverging10G16mm, 3)
 	res, err := s.Run(RunOptions{

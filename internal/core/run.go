@@ -179,13 +179,8 @@ func (o RunOptions) Validate() error {
 	if o.ReportEvery < 0 {
 		return fmt.Errorf("core: invalid RunOptions: negative ReportEvery %v", o.ReportEvery)
 	}
-	if o.Faults != nil {
-		for i, w := range o.Faults.Windows {
-			if w.Start < 0 || w.End < w.Start {
-				return fmt.Errorf("core: invalid RunOptions: fault window %d malformed (%v-%v)",
-					i, w.Start, w.End)
-			}
-		}
+	if err := validateWindows("fault", o.Faults); err != nil {
+		return err
 	}
 	if g := o.SolveGate; g != nil {
 		if math.IsNaN(g.MaxTrans) || math.IsInf(g.MaxTrans, 0) || g.MaxTrans < 0 ||
@@ -205,6 +200,11 @@ func (o RunOptions) Validate() error {
 			return fmt.Errorf("core: invalid RunOptions: %d StandbyFaults for %d standbys",
 				n, len(h.Standbys))
 		}
+		for k, f := range h.StandbyFaults {
+			if err := validateWindows(fmt.Sprintf("standby %d fault", k), f); err != nil {
+				return err
+			}
+		}
 		if h.SwitchAfter < 0 || h.FreshEvery < 0 || h.LOSHold < 0 || h.FailbackAfter < 0 {
 			return fmt.Errorf("core: invalid RunOptions: negative Handover duration")
 		}
@@ -212,6 +212,27 @@ func (o RunOptions) Validate() error {
 	if o.Hybrid != nil {
 		if err := o.Hybrid.validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// validateWindows checks one path's fault schedule (nil is a clear path):
+// every window must satisfy 0 ≤ Start ≤ End, and the list must be sorted
+// by Start, because Schedule.At stops scanning at the first window that
+// starts later than t and would silently drop one listed out of order.
+func validateWindows(what string, s *fault.Schedule) error {
+	if s == nil {
+		return nil
+	}
+	for i, w := range s.Windows {
+		if w.Start < 0 || w.End < w.Start {
+			return fmt.Errorf("core: invalid RunOptions: %s window %d malformed (%v-%v)",
+				what, i, w.Start, w.End)
+		}
+		if i > 0 && w.Start < s.Windows[i-1].Start {
+			return fmt.Errorf("core: invalid RunOptions: %s window %d starts at %v, before window %d at %v (windows must be sorted by Start)",
+				what, i, w.Start, i-1, s.Windows[i-1].Start)
 		}
 	}
 	return nil
@@ -449,11 +470,11 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	l.res.Samples = make([]Sample, 0, dur/sampleEvery+1)
 
 	// Closed interval [0, dur] — deliberately one slot more than the
-	// half-open `at < end` convention internal/sim and internal/handover
-	// use: a run's samples must land on both endpoints (the last sample
-	// sits exactly AT dur), and every published RunResult was produced by
-	// this fencepost. Pinned by TestRunClosedLoopConvention — do not
-	// "unify" this to at < dur, it would shift every result by a slot.
+	// half-open `at < end` convention internal/sim uses: a run's samples
+	// must land on both endpoints (the last sample sits exactly AT dur),
+	// and every published RunResult was produced by this fencepost.
+	// Pinned by TestRunClosedLoopConvention — do not "unify" this to
+	// at < dur, it would shift every result by a slot.
 	for at := time.Duration(0); at <= dur; at += tick {
 		l.step(at)
 	}
@@ -647,10 +668,9 @@ func (l *runLoop) step(at time.Duration) {
 		case l.ho != nil && l.ho.active != 0:
 			// On a standby TX the report re-points by oracle rather
 			// than through the learned model, which was calibrated
-			// against the primary's TX geometry (the same isolation
-			// handover.Run documents: the switching mechanism is
-			// studied apart from learning error). The primary's model
-			// and mapping stay untouched for failback.
+			// against the primary's TX geometry (the switching
+			// mechanism is studied apart from learning error). The
+			// primary's model and mapping stay untouched for failback.
 			l.rm.reports.Inc()
 			l.res.Points++
 			v, verr := l.s.Plant.OracleAlignedVoltages()
