@@ -80,18 +80,23 @@ verify:
 # FuzzRunOptionsValidate then spends ~3 s on core.Run's option validator:
 # fuzzed primary and standby fault windows must never panic it, and any
 # schedule it accepts must be in Start order with 0 <= Start <= End.
+# FuzzCorpusOptionsValidate (~3 s) holds RunCorpus's validator to the
+# same bar and checks it never writes the caller's CorpusChaos;
+# FuzzPolicyController (~3 s) drives the hybrid policy through fuzzed
+# health runs and checks its dwell and breach floors.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunOptionsValidate$$' -fuzztime 3s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzCorpusOptionsValidate$$' -fuzztime 3s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyController$$' -fuzztime 3s ./internal/policy/
 	@echo "fuzz-smoke: ok"
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc
-# contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
-# pose pass), and the G'/P solvers (warm and cold/coarse-seed paths) are
-# pinned by AllocsPerRun tests; run them without -race (the race
-# detector inserts allocations).
+# contracts on Compiled.Beam, the batched BeamBatch kernel, and the G'/P
+# solvers (warm and cold/coarse-seed paths) are pinned by AllocsPerRun
+# tests; run them without -race (the race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/
+	$(GO) test -run 'ZeroAllocs' -count 1 ./internal/gma/ ./internal/pointing/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics

@@ -38,7 +38,6 @@ import (
 	"cyclops/internal/netem"
 	"cyclops/internal/obs"
 	"cyclops/internal/optics"
-	"cyclops/internal/policy"
 	"cyclops/internal/sim"
 	"cyclops/internal/trace"
 )
@@ -227,11 +226,6 @@ type FaultWindow = fault.Window
 // from.
 type FaultConfig = fault.Config
 
-// RecoveryOptions tunes the link supervisor (backoff, jittered restarts,
-// spiral scan, degradation threshold). The zero value uses the documented
-// defaults.
-type RecoveryOptions = core.RecoveryOptions
-
 // PlanFaults synthesizes a reproducible fault schedule: the same (cfg,
 // seed, duration) always yields the identical windows.
 func PlanFaults(cfg FaultConfig, seed int64, dur time.Duration) FaultSchedule {
@@ -245,8 +239,10 @@ func DefaultFaultConfig() FaultConfig { return fault.DefaultConfig() }
 // HandoverOptions arms make-before-break multi-TX handover on a run:
 // standby ceiling TXs are kept pre-pointed, and when the primary path
 // occludes the supervisor swaps one in within the SFP's LOS holdover —
-// ~2 ms of dark instead of the 3 s re-lock. Requires RunOptions.Faults;
-// see DESIGN.md "Multi-TX handover as recovery".
+// ~2 ms of dark instead of the 3 s re-lock. Its two fields are inputs
+// (the standbys and their fault schedules); the controller's timing is
+// fixed. Requires RunOptions.Faults; see DESIGN.md "Multi-TX handover as
+// recovery".
 type HandoverOptions = core.HandoverOptions
 
 // TXPlant is one ceiling transmitter's physical surface (the primary's is
@@ -263,26 +259,24 @@ func StandbyRing(cfg LinkConfig, rxSeed int64, count int, spacing float64) []*TX
 
 // SolveGateOptions arms pose-delta solver gating on a run: assigning the
 // pointer to RunOptions.SolveGate skips the P solve when the report's
-// pose delta since the last accepted solve is inside the tolerance cone.
-// nil (the default) leaves the gate off — byte-identical to baseline.
+// pose delta since the last accepted solve is inside the fixed tolerance
+// cone (0.5 mm, 1 mrad). The struct has no fields; nil (the default)
+// leaves the gate off — byte-identical to baseline.
 type SolveGateOptions = core.SolveGateOptions
 
 // HybridOptions arms the hybrid FSO + mmWave link policy on a run: a
 // shadow mmWave link steps beside the optical plant, and when the FSO
 // power SLO breaches for the breach window the policy fails the stream
 // over, re-admitting the primary only after re-lock plus the clear
-// window. Unlike HandoverOptions it needs no fault schedule — a clean run
-// simply never leaves the primary. See DESIGN.md "Hybrid FSO + mmWave
-// failover policy".
+// window (policy.BreachAfter and policy.ClearAfter, 50 ms and 500 ms).
+// The struct has no fields: every run builds its own 802.11ad secondary.
+// Unlike HandoverOptions it needs no fault schedule — a clean run simply
+// never leaves the primary. See DESIGN.md "Hybrid FSO + mmWave failover
+// policy".
 type HybridOptions = core.HybridOptions
 
 // HybridStats is the hybrid policy's per-run outcome (RunResult.Hybrid).
 type HybridStats = core.HybridStats
-
-// PolicyOptions tunes the failover hysteresis: the sustained-breach
-// window before leaving the primary and the sustained-clear window before
-// re-admitting it.
-type PolicyOptions = policy.Options
 
 // DefaultHazeFaultConfig is the haze-only environmental-fade schedule
 // (slow attenuation ramps, transparent to mmWave) behind cyclops-sim

@@ -96,7 +96,12 @@ func Fig16ArenaAt(seed int64, users int, density float64, usersPerTX, workers in
 }
 
 func fig16ArenaRun(seed int64, workers int, grid fig16ArenaGrid) (Fig16ArenaResult, error) {
-	res := Fig16ArenaResult{VenueW: math.Sqrt(grid.areaM2)}
+	res := Fig16ArenaResult{
+		VenueW:       math.Sqrt(grid.areaM2),
+		PitchM:       arena.Pitch,
+		TraceLen:     grid.traceLen,
+		BackhaulGbps: arena.BackhaulGbps,
+	}
 	for _, density := range grid.densities {
 		users := int(math.Round(grid.areaM2 * density))
 		for _, cap := range grid.usersPerTX {
@@ -110,11 +115,6 @@ func fig16ArenaRun(seed int64, workers int, grid fig16ArenaGrid) (Fig16ArenaResu
 			})
 			if err != nil {
 				return res, err
-			}
-			res.PitchM = run.Layout.Pitch
-			res.TraceLen = grid.traceLen
-			if res.BackhaulGbps == 0 {
-				res.BackhaulGbps = 100
 			}
 			cell := Fig16ArenaCell{
 				UsersPerTX:       cap,

@@ -104,16 +104,9 @@ func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid) (Fig16HybridR
 	traces := sim.Materialize(src, workers)
 	res := Fig16HybridResult{Traces: grid.n, TraceLen: grid.length}
 	for _, sched := range fig16HybridSchedules() {
-		for _, medium := range []string{"fso", "mmwave", "hybrid"} {
-			chaos := &sim.CorpusChaos{Config: sched.cfg, Seed: seed + 1}
-			switch medium {
-			case "mmwave":
-				chaos.MmWaveOnly = &sim.MmWaveSlotParams{}
-			case "hybrid":
-				chaos.Hybrid = &sim.HybridSlotParams{}
-			}
+		for _, medium := range []sim.Medium{sim.FSO, sim.MmWave, sim.Hybrid} {
 			run, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
-				Chaos:        chaos,
+				Chaos:        &sim.CorpusChaos{Config: sched.cfg, Seed: seed + 1, Medium: medium},
 				Workers:      workers,
 				KeepPerTrace: true,
 				Registry:     obs.NewRegistry(),
@@ -123,7 +116,7 @@ func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid) (Fig16HybridR
 			}
 			cell := Fig16HybridCell{
 				Schedule:          sched.name,
-				Medium:            medium,
+				Medium:            medium.String(),
 				MeanAvailability:  run.MeanOnFraction,
 				MinAvailability:   run.MinOnFraction,
 				Failovers:         run.Failovers,
@@ -139,7 +132,7 @@ func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid) (Fig16HybridR
 			for i, r := range run.PerTrace {
 				avail[i] = r.OnFraction
 				g := r.MeanGoodputGbps
-				if medium == "fso" {
+				if medium == sim.FSO {
 					// The plain chaos model reports availability only;
 					// its delivered rate is on-fraction × the 25G optimal.
 					g = r.OnFraction * Link25G.Transceiver.OptimalGoodputGbps

@@ -67,6 +67,19 @@ const (
 	BodyRamp = 10 * time.Millisecond
 )
 
+// Venue constants: the ceiling grid and the shared backhaul. Each served
+// link is capped at the 25G transceiver's optimal goodput, and every user
+// runs sim.PaperChaos25G with the cell's TX ring derived from the grid.
+const (
+	// Pitch is the ceiling TX grid spacing in meters: the fig16-handover
+	// wide-ring regime.
+	Pitch = 2.0
+	// BackhaulGbps is the venue's shared backhaul capacity; each cell
+	// owns an equal static share, and the cell's momentarily-connected
+	// users split that share per slot.
+	BackhaulGbps = 100
+)
+
 // Options configures an arena run. The zero value of every field except
 // Users and Density has a working default installed by Validate.
 type Options struct {
@@ -84,20 +97,6 @@ type Options struct {
 	UsersPerTX int
 	// TraceLen is the per-user session length (default one minute).
 	TraceLen time.Duration
-	// Pitch is the ceiling TX grid spacing in meters (default 2.0, the
-	// fig16-handover wide-ring regime).
-	Pitch float64
-	// BackhaulGbps is the venue's shared backhaul capacity; each cell
-	// owns an equal static share, and the cell's momentarily-connected
-	// users split that share per slot (default 100 Gbps).
-	BackhaulGbps float64
-	// LinkGoodputGbps is the per-link TCP goodput ceiling (default the
-	// 25G part's 23.5).
-	LinkGoodputGbps float64
-	// Params is the base slot-model parameterization. TXCount,
-	// StandbyBlockProb and HandoverDark are derived per cell from the
-	// ceiling geometry when left zero.
-	Params sim.ChaosParams
 	// Workers bounds the cell-level fan-out (0 = parallel default).
 	Workers int
 	// Context cancels a run between cell batches.
@@ -135,21 +134,6 @@ func (o *Options) Validate() error {
 	if o.TraceLen <= 0 {
 		o.TraceLen = time.Minute
 	}
-	if o.Pitch <= 0 {
-		o.Pitch = 2.0
-	}
-	if o.BackhaulGbps <= 0 {
-		o.BackhaulGbps = 100
-	}
-	if o.LinkGoodputGbps <= 0 {
-		o.LinkGoodputGbps = optics.SFP28LR.OptimalGoodputGbps
-	}
-	if o.Params == (sim.ChaosParams{}) {
-		o.Params = sim.PaperChaos25G()
-	}
-	if o.Params.AvailabilityParams == (sim.AvailabilityParams{}) {
-		o.Params.AvailabilityParams = sim.Paper25G()
-	}
 	if o.Workers < 0 {
 		o.Workers = 0
 	}
@@ -173,14 +157,13 @@ type Layout struct {
 	NX, NY int     // ceiling grid
 	CellW  float64
 	CellD  float64
-	Pitch  float64
 }
 
 // NewLayout grids the ceiling of the square venue holding users at
-// density, at the given TX pitch.
-func NewLayout(seed int64, users int, density, pitch float64) Layout {
+// density, at the Pitch TX spacing.
+func NewLayout(seed int64, users int, density float64) Layout {
 	w := math.Sqrt(float64(users) / density)
-	n := int(math.Round(w / pitch))
+	n := int(math.Round(w / Pitch))
 	if n < 1 {
 		n = 1
 	}
@@ -189,7 +172,6 @@ func NewLayout(seed int64, users int, density, pitch float64) Layout {
 		W: w, D: w,
 		NX: n, NY: n,
 		CellW: w / float64(n), CellD: w / float64(n),
-		Pitch: pitch,
 	}
 }
 
@@ -288,7 +270,7 @@ func (l Layout) Occluder(i int) [2]Occluder {
 // Neighbors returns the occluding users around user i: everyone whose
 // home spot lies within NeighborRadius, nearest first (ties by index),
 // capped at MaxNeighbors. Only the 3×3 cell neighborhood is scanned —
-// NeighborRadius never exceeds a cell diagonal at the supported pitches.
+// NeighborRadius never exceeds a cell diagonal at Pitch.
 func (l Layout) Neighbors(i int) []int {
 	home := l.Home(i)
 	c := l.CellOf(i)
@@ -542,7 +524,7 @@ func Run(opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	l := NewLayout(opts.Seed, opts.Users, opts.Density, opts.Pitch)
+	l := NewLayout(opts.Seed, opts.Users, opts.Density)
 	nCells := l.Cells()
 	start := opts.Resume.NextCell
 	agg := opts.Resume.Agg
@@ -633,15 +615,11 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 	}
 	m.Users.Add(float64(hi - lo))
 
-	p := opts.Params
-	if p.TXCount == 0 {
-		p.TXCount = 1 + l.Standbys(c)
-	}
-	if p.TXCount > 1 && p.HandoverDark == 0 {
+	p := sim.PaperChaos25G()
+	p.TXCount = 1 + l.Standbys(c)
+	if p.TXCount > 1 {
 		p.HandoverDark = 2 * time.Millisecond
-	}
-	if p.TXCount > 1 && p.StandbyBlockProb == 0 {
-		p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(l.Pitch)
+		p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(Pitch)
 	}
 
 	// Pass 1: slot model per served user, collecting per-slot link
@@ -679,7 +657,7 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 	// Pass 2: per-slot backhaul contention. The cell owns an equal share
 	// of the venue backhaul; each slot splits it across the users whose
 	// links are up, capped by the per-link goodput ceiling.
-	cellShare := opts.BackhaulGbps / float64(l.Cells())
+	cellShare := BackhaulGbps / float64(l.Cells())
 	maxSlots := 0
 	for _, r := range runs {
 		if len(r.off) > maxSlots {
@@ -699,7 +677,7 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 		st := netem.NewStream()
 		st.Metrics = sm
 		for s, off := range r.off {
-			rate := opts.LinkGoodputGbps
+			rate := optics.SFP28LR.OptimalGoodputGbps
 			if up[s] > 0 {
 				if share := cellShare / float64(up[s]); share < rate {
 					rate = share

@@ -30,7 +30,7 @@ func testOpts(workers int) Options {
 
 func TestLayoutPartition(t *testing.T) {
 	for _, users := range []int{1, 5, 16, 33, 100} {
-		l := NewLayout(3, users, 0.5, 2.0)
+		l := NewLayout(3, users, 0.5)
 		covered := 0
 		for c := 0; c < l.Cells(); c++ {
 			lo, hi := l.CellUsers(c)
@@ -51,7 +51,7 @@ func TestLayoutPartition(t *testing.T) {
 }
 
 func TestLayoutGeometry(t *testing.T) {
-	l := NewLayout(3, 32, 0.5, 2.0)
+	l := NewLayout(3, 32, 0.5)
 	if l.NX != 4 || l.NY != 4 {
 		t.Fatalf("8x8m venue at 2m pitch gridded %dx%d", l.NX, l.NY)
 	}
@@ -79,7 +79,7 @@ func TestLayoutGeometry(t *testing.T) {
 }
 
 func TestNeighborsBoundedAndOrdered(t *testing.T) {
-	l := NewLayout(3, 64, 1.0, 2.0)
+	l := NewLayout(3, 64, 1.0)
 	for i := 0; i < l.Users; i++ {
 		ns := l.Neighbors(i)
 		if len(ns) > MaxNeighbors {
@@ -107,7 +107,7 @@ func TestOcclusionWindowsFire(t *testing.T) {
 	// A user surrounded at density 1.0 must see some occlusion over a
 	// minute; windows must be ordered and within the trace (plus the
 	// trailing sampling step).
-	l := NewLayout(7, 64, 1.0, 2.0)
+	l := NewLayout(7, 64, 1.0)
 	total := 0
 	for i := 0; i < l.Users; i++ {
 		tr := l.Trace(i, time.Minute)
@@ -264,23 +264,46 @@ func TestUsersPerTXCap(t *testing.T) {
 	}
 }
 
+// TestContentionSharesBackhaul: every cell of the 16-cell test venue
+// owns BackhaulGbps/16 = 6.25 Gbps, so no served user's contended mean
+// may exceed it (uncontended, a user would read about 23.5 × its
+// availability), and two users sharing a cell must read a lower mean than
+// one user alone.
 func TestContentionSharesBackhaul(t *testing.T) {
-	// Halving the backhaul should at most halve-ish the contended mean
-	// goodput and never raise it.
-	a := testOpts(2)
-	b := testOpts(2)
-	b.BackhaulGbps = 50
-	ra, err := Run(a)
-	if err != nil {
-		t.Fatal(err)
+	mean := map[int]float64{}
+	for _, perTX := range []int{1, 2} {
+		opts := testOpts(1)
+		opts.UsersPerTX = perTX
+		if err := opts.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		l := NewLayout(opts.Seed, opts.Users, opts.Density)
+		if l.Cells() != 16 {
+			t.Fatalf("test venue has %d cells, want 16", l.Cells())
+		}
+		share := BackhaulGbps / float64(l.Cells())
+		var all Aggregate
+		for c := 0; c < l.Cells(); c++ {
+			a := runCell(l, opts, c)
+			if a.Served < 1 || a.Served > 2 {
+				t.Fatalf("perTX=%d cell %d served %d users, want 1 or 2", perTX, c, a.Served)
+			}
+			// With at most two served users, the best one's mean is the
+			// cell's sum less the worst one's.
+			best := a.GoodputSumGbps
+			if a.Served == 2 {
+				best -= a.MinGoodputGbps
+			}
+			if best > share+1e-9 {
+				t.Errorf("perTX=%d cell %d: a user reads %.3f Gbps, above the %.3f Gbps cell share",
+					perTX, c, best, share)
+			}
+			all.merge(a)
+		}
+		mean[perTX] = all.MeanGoodputGbps()
 	}
-	rb, err := Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.MeanGoodputGbps() >= ra.MeanGoodputGbps() {
-		t.Errorf("goodput did not drop with backhaul: %.3f vs %.3f",
-			rb.MeanGoodputGbps(), ra.MeanGoodputGbps())
+	if mean[2] >= mean[1] {
+		t.Errorf("two users per cell read %.3f Gbps, not below one user's %.3f", mean[2], mean[1])
 	}
 }
 
@@ -300,8 +323,7 @@ func TestOptionsValidate(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.UsersPerTX != 4 || o.TraceLen != time.Minute || o.Pitch != 2.0 ||
-		o.BackhaulGbps != 100 || o.LinkGoodputGbps == 0 || o.Registry == nil {
+	if o.UsersPerTX != 4 || o.TraceLen != time.Minute || o.Registry == nil {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 }

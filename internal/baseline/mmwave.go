@@ -12,7 +12,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -95,29 +94,6 @@ func NewMmWaveMetrics(reg *obs.Registry) *MmWaveMetrics {
 		BlockageLoss: reg.Gauge("cyclops_mmwave_blockage_loss_db",
 			"Body-blockage penalty applied at the latest tick."),
 	}
-}
-
-// Validate rejects non-finite or non-positive link parameters, mirroring
-// core.RunOptions.Validate so a bad config fails loudly at arm time
-// instead of producing NaN goodput mid-run.
-func (l *MmWaveLink) Validate() error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	if !finite(l.APPosition.X) || !finite(l.APPosition.Y) || !finite(l.APPosition.Z) {
-		return fmt.Errorf("baseline: non-finite APPosition %+v", l.APPosition)
-	}
-	if !(l.PeakGoodputGbps > 0) || !finite(l.PeakGoodputGbps) {
-		return fmt.Errorf("baseline: PeakGoodputGbps %v must be positive and finite", l.PeakGoodputGbps)
-	}
-	if !(l.BeamWidth > 0) || !finite(l.BeamWidth) {
-		return fmt.Errorf("baseline: BeamWidth %v must be positive and finite", l.BeamWidth)
-	}
-	if l.TrainInterval <= 0 {
-		return fmt.Errorf("baseline: TrainInterval %v must be positive", l.TrainInterval)
-	}
-	if !(l.BlockageLossDB >= 0) || !finite(l.BlockageLossDB) {
-		return fmt.Errorf("baseline: BlockageLossDB %v must be non-negative and finite", l.BlockageLossDB)
-	}
-	return nil
 }
 
 // goodputAt returns the instantaneous goodput toward a headset at hpos

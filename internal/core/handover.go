@@ -16,7 +16,6 @@ import (
 // from runLoop.step, one decision per tick, with no randomness of its own —
 // a handover run is as bit-reproducible as the faulted run it extends.
 type hoState struct {
-	opts   HandoverOptions
 	plants []*link.Plant
 	// scheds[k] is TX k's path fault schedule; scheds[0] aliases
 	// RunOptions.Faults so candidate checks read every path uniformly.
@@ -24,7 +23,7 @@ type hoState struct {
 	active int
 
 	// Pre-point cache: the freshest oracle mirror solution per inactive
-	// TX, refreshed on the FreshEvery cadence but only applied at a
+	// TX, refreshed on the freshEvery cadence but only applied at a
 	// switch — the "make" of make-before-break.
 	preV  []pointing.Voltages
 	preAt []time.Duration
@@ -43,8 +42,7 @@ type hoState struct {
 }
 
 func newHoState(s *System, o *HandoverOptions, primary *fault.Schedule) *hoState {
-	ho := &hoState{opts: *o}
-	ho.opts.defaults()
+	ho := &hoState{}
 	ho.plants = make([]*link.Plant, 0, len(o.Standbys)+1)
 	ho.plants = append(ho.plants, s.Plant)
 	ho.plants = append(ho.plants, o.Standbys...)
@@ -103,7 +101,7 @@ func (ho *hoState) candidate(at time.Duration) int {
 		if k == ho.active || !ho.preOK[k] {
 			continue
 		}
-		if ho.pathAtten(at, k) >= ho.opts.BlockAttenDB {
+		if ho.pathAtten(at, k) >= fault.BlockDB {
 			continue
 		}
 		d := p.TXMountTruth().Trans.Dist(p.RXWorldPose().Trans)
@@ -117,7 +115,7 @@ func (ho *hoState) candidate(at time.Duration) int {
 // hoTick is the per-tick handover controller: refresh standby pre-points,
 // clock darkness on the active path, switch to the best clear standby once
 // the debounce matures, and fail back to the primary after its path has
-// stayed clear for FailbackAfter.
+// stayed clear for failbackAfter.
 func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	ho := l.ho
 
@@ -135,13 +133,13 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 				ho.preV[k], ho.preAt[k] = v, at
 			}
 		}
-		ho.nextFresh = at + ho.opts.FreshEvery
+		ho.nextFresh = at + freshEvery
 	}
 
 	// Failback bookkeeping: while a standby is active, clock how long the
 	// primary path has been continuously clear.
 	if ho.active != 0 {
-		if ho.pathAtten(at, 0) >= ho.opts.BlockAttenDB {
+		if ho.pathAtten(at, 0) >= fault.BlockDB {
 			ho.clearSince0 = -1
 		} else if ho.clearSince0 < 0 {
 			ho.clearSince0 = at
@@ -150,7 +148,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 
 	// Dark clock, with the post-switch slew window carved out: the forced
 	// darkness while the mirrors slew to the new TX must not re-arm the
-	// debounce, or any SwitchAfter at or below the realignment latency
+	// debounce, or any switchAfter at or below the realignment latency
 	// would flap straight off the TX we just switched to.
 	if powerOK {
 		ho.darkSince = -1
@@ -158,7 +156,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 		ho.darkSince = at
 	}
 
-	if ho.darkSince >= 0 && at-ho.darkSince >= ho.opts.SwitchAfter {
+	if ho.darkSince >= 0 && at-ho.darkSince >= switchAfter {
 		if k := ho.candidate(at); k >= 0 {
 			l.hoSwitch(at, k)
 			return
@@ -169,7 +167,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	// its pre-point is good — re-admit it (make-before-break again; the
 	// monitor's holdover rides through the slew).
 	if ho.active != 0 && powerOK && ho.clearSince0 >= 0 &&
-		at-ho.clearSince0 >= ho.opts.FailbackAfter && ho.preOK[0] {
+		at-ho.clearSince0 >= failbackAfter && ho.preOK[0] {
 		l.hoSwitch(at, 0)
 	}
 }

@@ -156,9 +156,6 @@ func TestRunOptionsValidateHandover(t *testing.T) {
 			Standbys:      standbys,
 			StandbyFaults: []*fault.Schedule{{}, {}},
 		}}},
-		{"negative duration", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
-			Standbys: standbys, LOSHold: -time.Millisecond,
-		}}},
 		{"malformed standby window", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
 			Standbys: standbys,
 			StandbyFaults: []*fault.Schedule{{Windows: []fault.Window{

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"cyclops/internal/baseline"
 	"cyclops/internal/fault"
 	"cyclops/internal/link"
 	"cyclops/internal/motion"
@@ -87,7 +85,7 @@ func TestRunHybridCleanStaysPrimary(t *testing.T) {
 // clear window (the no-flap acceptance criterion).
 func TestRunHybridHazeFailoverAndReadmit(t *testing.T) {
 	s := oracleSystem(optics.Diverging10G16mm, 5)
-	clear := 500 * time.Millisecond
+	clear := policy.ClearAfter
 	sched := &fault.Schedule{Seed: 3, Windows: []fault.Window{{
 		Kind:     fault.HazeFade,
 		Start:    2 * time.Second,
@@ -99,7 +97,7 @@ func TestRunHybridHazeFailoverAndReadmit(t *testing.T) {
 	res, err := s.Run(RunOptions{
 		Program: motion.Static{P: link.DefaultHeadsetPose(), Len: 16 * time.Second},
 		Faults:  sched,
-		Hybrid:  &HybridOptions{Policy: policy.Options{ClearAfter: clear}},
+		Hybrid:  &HybridOptions{},
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -154,29 +152,10 @@ func TestRunHybridDeterministic(t *testing.T) {
 	}
 }
 
+// TestHybridOptionsValidate: the hybrid arm is field-less and, unlike
+// Handover, needs no fault schedule.
 func TestHybridOptionsValidate(t *testing.T) {
 	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
-	cases := []struct {
-		name string
-		h    *HybridOptions
-	}{
-		{"negative margin", &HybridOptions{MarginDB: -1}},
-		{"nan block atten", &HybridOptions{BlockAttenDB: math.NaN()}},
-		{"negative breach window", &HybridOptions{Policy: policy.Options{BreachAfter: -time.Second}}},
-		{"bad secondary", func() *HybridOptions {
-			sec := baseline.NewMmWave()
-			sec.PeakGoodputGbps = -1
-			return &HybridOptions{Secondary: sec}
-		}()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := RunOptions{Program: prog, Hybrid: tc.h}.Validate()
-			if err == nil {
-				t.Error("bad hybrid options accepted")
-			}
-		})
-	}
 	if err := (RunOptions{Program: prog, Hybrid: &HybridOptions{}}).Validate(); err != nil {
 		t.Errorf("zero hybrid options rejected: %v", err)
 	}

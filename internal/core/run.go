@@ -53,12 +53,6 @@ type RunOptions struct {
 	// empty schedule: no injection, no supervisor — bit-identical to the
 	// historical run loop.
 	Faults *fault.Schedule
-	// Recovery tunes the supervisor; the zero value means the documented
-	// defaults. Consulted only when Faults is armed — it tunes a layer
-	// Faults arms rather than arming anything itself, which is why it is
-	// a value, not a pointer arm.
-	//cyclops:contract-ok tuning sub-struct for the Faults-gated supervisor, not an opt-in feature arm; zero value = documented defaults
-	Recovery RecoveryOptions
 	// SolveGate, when non-nil, arms pose-delta solver gating: a tracking
 	// report whose pose has moved less than the gate's tolerance cone
 	// since the last accepted solve skips the full P iteration and lets
@@ -86,33 +80,28 @@ type RunOptions struct {
 	Hybrid *HybridOptions
 }
 
-// SolveGateOptions configure pose-delta solver gating
-// (RunOptions.SolveGate). Setting the pointer arms the gate — there is
-// no Enable bit, so "off" and "zeroed" cannot diverge; the zero value
-// of each threshold means "use the documented default".
-type SolveGateOptions struct {
-	// MaxTrans is the translation delta (meters) below which a report is
-	// considered inside the tolerance cone (default 0.5 mm — well under
+// SolveGateOptions arm pose-delta solver gating (RunOptions.SolveGate).
+// Setting the pointer arms the gate — there is no Enable bit, so "off"
+// and "zeroed" cannot diverge. The tolerance cone is fixed at
+// gateMaxTrans and gateMaxAngle.
+type SolveGateOptions struct{}
+
+// The solve gate's tolerance cone: a report whose pose moved less than
+// both deltas since the last accepted solve skips the P iteration.
+const (
+	// gateMaxTrans is the translation delta (meters): 0.5 mm, well under
 	// the millimeter-scale lateral capture tolerance of §5.4, so a
-	// skipped solve cannot by itself walk the beam off the aperture).
-	MaxTrans float64
-	// MaxAngle is the rotation delta (radians) below which a report is
-	// inside the cone (default 1 mrad, the same order as the solver's
-	// own voltage tolerance mapped through the mirror gain).
-	MaxAngle float64
-}
+	// skipped solve cannot by itself walk the beam off the aperture.
+	gateMaxTrans = 0.5e-3
+	// gateMaxAngle is the rotation delta (radians): 1 mrad, the same
+	// order as the solver's own voltage tolerance mapped through the
+	// mirror gain.
+	gateMaxAngle = 1e-3
+)
 
-func (o *SolveGateOptions) defaults() {
-	if o.MaxTrans <= 0 {
-		o.MaxTrans = 0.5e-3
-	}
-	if o.MaxAngle <= 0 {
-		o.MaxAngle = 1e-3
-	}
-}
-
-// HandoverOptions configure the multi-TX recovery path. The zero value of
-// every duration/threshold field means "use the documented default".
+// HandoverOptions configure the multi-TX recovery path. Both fields are
+// inputs — the controller's timing is fixed by the handover constants
+// below.
 type HandoverOptions struct {
 	// Standbys are the standby transmitter plants (handover.StandbysFor
 	// builds them); each shares the primary's RX assembly identity and
@@ -122,43 +111,25 @@ type HandoverOptions struct {
 	// schedule (nil entries mean a clear path). Must be empty or match
 	// len(Standbys); the primary path's schedule is RunOptions.Faults.
 	StandbyFaults []*fault.Schedule
-	// SwitchAfter is how long the active path must stay dark before the
-	// controller switches (default 1 ms — one slot of debounce).
-	SwitchAfter time.Duration
-	// FreshEvery is the standby pre-point refresh cadence (default 12 ms,
-	// the tracker's own report cadence).
-	FreshEvery time.Duration
-	// LOSHold is the SFP's LOS-assert window (Monitor.HoldOver): dark
-	// spells shorter than this do not unlock the transceiver, which is
-	// what lets a ~2 ms switch ride through without the re-lock penalty
-	// (default 5 ms).
-	LOSHold time.Duration
-	// FailbackAfter is how long the primary path must stay clear before a
-	// lit run switches back to it (default 500 ms).
-	FailbackAfter time.Duration
-	// BlockAttenDB is the injected attenuation at or above which a path
-	// counts as blocked for candidate selection (default 10 dB, the 25G
-	// budget's full margin — same constant the sim chaos model uses).
-	BlockAttenDB float64
 }
 
-func (o *HandoverOptions) defaults() {
-	if o.SwitchAfter <= 0 {
-		o.SwitchAfter = time.Millisecond
-	}
-	if o.FreshEvery <= 0 {
-		o.FreshEvery = 12 * time.Millisecond
-	}
-	if o.LOSHold <= 0 {
-		o.LOSHold = 5 * time.Millisecond
-	}
-	if o.FailbackAfter <= 0 {
-		o.FailbackAfter = 500 * time.Millisecond
-	}
-	if o.BlockAttenDB <= 0 {
-		o.BlockAttenDB = 10
-	}
-}
+// Handover controller timing. A path counts as blocked for candidate
+// selection at fault.BlockDB.
+const (
+	// switchAfter is how long the active path must stay dark before the
+	// controller switches: one slot of debounce.
+	switchAfter = time.Millisecond
+	// freshEvery is the standby pre-point refresh cadence: the tracker's
+	// own report cadence.
+	freshEvery = 12 * time.Millisecond
+	// losHold is the SFP's LOS-assert window (Monitor.HoldOver): dark
+	// spells shorter than this do not unlock the transceiver, which is
+	// what lets a ~2 ms switch ride through without the re-lock penalty.
+	losHold = 5 * time.Millisecond
+	// failbackAfter is how long the primary path must stay clear before a
+	// lit run switches back to it.
+	failbackAfter = 500 * time.Millisecond
+)
 
 // Validate reports whether the options are usable: Program must be set,
 // and durations must be non-negative (zero always means "default", never
@@ -182,13 +153,6 @@ func (o RunOptions) Validate() error {
 	if err := validateWindows("fault", o.Faults); err != nil {
 		return err
 	}
-	if g := o.SolveGate; g != nil {
-		if math.IsNaN(g.MaxTrans) || math.IsInf(g.MaxTrans, 0) || g.MaxTrans < 0 ||
-			math.IsNaN(g.MaxAngle) || math.IsInf(g.MaxAngle, 0) || g.MaxAngle < 0 {
-			return fmt.Errorf("core: invalid RunOptions: SolveGate thresholds (%v m, %v rad) must be finite and non-negative",
-				g.MaxTrans, g.MaxAngle)
-		}
-	}
 	if h := o.Handover; h != nil {
 		if len(h.Standbys) == 0 {
 			return fmt.Errorf("core: invalid RunOptions: Handover armed with no standby TXs")
@@ -204,14 +168,6 @@ func (o RunOptions) Validate() error {
 			if err := validateWindows(fmt.Sprintf("standby %d fault", k), f); err != nil {
 				return err
 			}
-		}
-		if h.SwitchAfter < 0 || h.FreshEvery < 0 || h.LOSHold < 0 || h.FailbackAfter < 0 {
-			return fmt.Errorf("core: invalid RunOptions: negative Handover duration")
-		}
-	}
-	if o.Hybrid != nil {
-		if err := o.Hybrid.validate(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -256,9 +212,9 @@ type Sample struct {
 	// paper's 50 ms windows use.
 	LinSpeed, AngSpeed float64
 	// Degraded marks ticks the supervisor spent in the DEGRADED state
-	// (outage longer than RecoveryOptions.DegradeAfter): the run kept
-	// going, but traffic accounting was frozen and the sample should not
-	// count against alignment quality. Always false without fault
+	// (outage longer than 500 ms): the run kept going, but traffic
+	// accounting was frozen and the sample should not count against
+	// alignment quality. Always false without fault
 	// injection.
 	Degraded bool
 }
@@ -378,7 +334,7 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	var sup *Supervisor
 	if !opts.Faults.Empty() {
 		inj = opts.Faults
-		sup = NewSupervisor(opts.Recovery, inj.Seed+1_000_099, reg)
+		sup = NewSupervisor(inj.Seed+1_000_099, reg)
 		defer func() {
 			// Leave the plant clean for the next run on this system.
 			s.Plant.SetAttenuationDB(0)
@@ -397,7 +353,7 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	var ho *hoState
 	if opts.Handover != nil {
 		ho = newHoState(s, opts.Handover, opts.Faults)
-		mon.HoldOver = ho.opts.LOSHold
+		mon.HoldOver = losHold
 		sup.ArmHandover(reg)
 		primary := s.Plant
 		prevStandbyMetrics := make([]*link.PlantMetrics, len(opts.Handover.Standbys))
@@ -414,13 +370,12 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 		}()
 	}
 
-	// Hybrid FSO + mmWave policy: the secondary link joins the run with
-	// its instruments registered here (restored after, like the plant's),
-	// and the policy controller records under the cyclops_policy_* names.
+	// Hybrid FSO + mmWave policy: the run builds its own secondary link
+	// with its instruments registered here, and the policy controller
+	// records under the cyclops_policy_* names.
 	var hy *hyState
 	if opts.Hybrid != nil {
-		hy = newHyState(opts.Hybrid, reg)
-		defer func() { hy.sec.Metrics = hy.prevSecMetrics }()
+		hy = newHyState(reg)
 	}
 
 	// Initial state: align at the program's first pose. Under fault
@@ -437,16 +392,10 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	}
 	// The TX model does not depend on the headset pose: compile it once
 	// and every P solve of the run reuses the precomputed form.
-	var gate SolveGateOptions
-	if opts.SolveGate != nil {
-		gate = *opts.SolveGate
-		gate.defaults()
-	}
 	l := &runLoop{
 		s:           s,
 		opts:        opts,
 		tick:        tick,
-		gate:        gate,
 		gateOn:      opts.SolveGate != nil,
 		sampleEvery: sampleEvery,
 		rm:          rm,
@@ -554,11 +503,9 @@ type runLoop struct {
 	nextSample time.Duration
 
 	// Pose-delta solver gating (RunOptions.SolveGate): gateOn mirrors
-	// the arm's non-nil-ness; gate is the defaulted copy. solvedPose is
-	// the pose of the last accepted solve, valid while haveSolvedPose. A
-	// report inside the gate's tolerance cone of solvedPose skips the P
-	// iteration.
-	gate           SolveGateOptions
+	// the arm's non-nil-ness. solvedPose is the pose of the last accepted
+	// solve, valid while haveSolvedPose. A report inside the gate's
+	// tolerance cone of solvedPose skips the P iteration.
 	gateOn         bool
 	solvedPose     geom.Pose
 	haveSolvedPose bool
@@ -699,7 +646,7 @@ func (l *runLoop) step(at time.Duration) {
 			// and backoff cases above, so recovery is never starved.
 			if l.gateOn && l.haveSolvedPose {
 				lin, ang := rep.Pose.Delta(l.solvedPose)
-				if lin <= l.gate.MaxTrans && ang <= l.gate.MaxAngle {
+				if lin <= gateMaxTrans && ang <= gateMaxAngle {
 					l.rm.reports.Inc()
 					l.rm.solvesSkipped.Inc()
 					l.res.SolvesSkipped++

@@ -11,7 +11,7 @@ import (
 const tickMs = time.Millisecond
 
 // The supervisor's transition table: TRACKING → REACQUIRING on link loss,
-// REACQUIRING → DEGRADED after DegradeAfter of continuous downtime, and
+// REACQUIRING → DEGRADED after degradeAfter of continuous downtime, and
 // any down state → TRACKING the moment the monitor reports up.
 func TestSupervisorStateTransitions(t *testing.T) {
 	cases := []struct {
@@ -48,7 +48,7 @@ func TestSupervisorStateTransitions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewSupervisor(RecoveryOptions{}, 1, nil)
+			s := NewSupervisor(1, nil)
 			c.step(s)
 			if s.State() != c.want {
 				t.Errorf("state = %v, want %v", s.State(), c.want)
@@ -96,7 +96,7 @@ func TestSupervisorHandoverTransitions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewSupervisor(RecoveryOptions{}, 1, nil)
+			s := NewSupervisor(1, nil)
 			c.step(s)
 			if s.State() != c.want {
 				t.Errorf("state = %v, want %v", s.State(), c.want)
@@ -112,7 +112,7 @@ func TestSupervisorHandoverTransitions(t *testing.T) {
 // time and staleness of each completed switch.
 func TestSupervisorHandoverMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewSupervisor(RecoveryOptions{}, 1, reg)
+	s := NewSupervisor(1, reg)
 	s.ArmHandover(reg)
 	s.Observe(0, tickMs, true, true)
 	s.BeginHandover(tickMs, 6*tickMs)
@@ -137,7 +137,7 @@ func TestSupervisorHandoverMetrics(t *testing.T) {
 	// Unarmed supervisors must not register the handover names — a faulted
 	// run without standbys exposes the historical metric set byte for byte.
 	reg2 := obs.NewRegistry()
-	s2 := NewSupervisor(RecoveryOptions{}, 1, reg2)
+	s2 := NewSupervisor(1, reg2)
 	s2.Observe(0, tickMs, true, true)
 	s2.Finish()
 	if contains(reg2.Exposition(), "cyclops_handover") {
@@ -147,7 +147,7 @@ func TestSupervisorHandoverMetrics(t *testing.T) {
 
 func TestSupervisorOutageAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewSupervisor(RecoveryOptions{}, 1, reg)
+	s := NewSupervisor(1, reg)
 	down := func(from, ticks int) {
 		for i := 0; i < ticks; i++ {
 			s.Observe(time.Duration(from+i)*tickMs, tickMs, false, false)
@@ -187,9 +187,9 @@ func TestSupervisorOutageAccounting(t *testing.T) {
 }
 
 // Backoff grows exponentially (with bounded jitter) and resets on success;
-// the spiral arms after SpiralAfter consecutive failures.
+// the spiral arms after spiralAfter consecutive failures.
 func TestSupervisorBackoffAndSpiral(t *testing.T) {
-	s := NewSupervisor(RecoveryOptions{}, 1, nil)
+	s := NewSupervisor(1, nil)
 	if !s.AllowSolve(0) {
 		t.Fatal("fresh supervisor blocks solves")
 	}
@@ -218,7 +218,7 @@ func TestSupervisorBackoffAndSpiral(t *testing.T) {
 		t.Error("spiral not armed after 6 consecutive failures")
 	}
 	// Spiral probes are deterministic and expand outward.
-	s2 := NewSupervisor(RecoveryOptions{}, 1, nil)
+	s2 := NewSupervisor(1, nil)
 	for i := 0; i < 6; i++ {
 		s2.SolveFailed(time.Duration(i) * 100 * tickMs)
 	}
@@ -251,7 +251,7 @@ func TestSupervisorStartVoltages(t *testing.T) {
 	warm := pointing.Voltages{TX1: 1, TX2: 2, RX1: 3, RX2: 4}
 	good := pointing.Voltages{TX1: 0.1, TX2: 0.2, RX1: 0.3, RX2: 0.4}
 
-	s := NewSupervisor(RecoveryOptions{}, 7, nil)
+	s := NewSupervisor(7, nil)
 	if got := s.StartVoltages(warm); got != warm {
 		t.Errorf("healthy start = %+v, want warm %+v", got, warm)
 	}
@@ -266,7 +266,7 @@ func TestSupervisorStartVoltages(t *testing.T) {
 	}
 
 	// Same seed → same perturbation sequence.
-	s2 := NewSupervisor(RecoveryOptions{}, 7, nil)
+	s2 := NewSupervisor(7, nil)
 	s2.StartVoltages(warm)
 	s2.SolveOK(good)
 	s2.SolveFailed(10 * tickMs)

@@ -136,6 +136,12 @@ func (w Window) attenAt(t time.Duration) float64 {
 	return w.DepthDB * frac
 }
 
+// BlockDB is the injected attenuation at or above which a path counts as
+// blocked: the 25G budget's full margin. The handover candidate check,
+// the hybrid and slot-model mmWave blockage tests, and PaperChaos25G's
+// slot-model occlusion threshold all read it.
+const BlockDB = 10
+
 // State is the instantaneous fault condition a consumer applies at one
 // simulation instant.
 type State struct {

@@ -13,8 +13,8 @@
 // The parallel experiment engine (internal/parallel) promises bit-identical
 // results at any worker count, and metrics must not break that. The rules:
 //
-//   - every parallel job records into its own Registry (parallel.MapObs
-//     hands one out per job) — instruments are never shared across jobs;
+//   - every parallel job records into its own Registry — instruments are
+//     never shared across jobs;
 //   - per-job Snapshots are merged serially, in job-index order, after the
 //     fan-out returns. Counter increments are integer-valued in practice
 //     (exact in float64 far beyond any realistic count), and histogram
@@ -456,16 +456,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 			}
 			out.Help[name] = help
 		}
-	}
-	return out
-}
-
-// MergeAll reduces snapshots serially, in slice order — the reduction step
-// for parallel.MapObs' per-job registries.
-func MergeAll(snaps []Snapshot) Snapshot {
-	var out Snapshot
-	for _, s := range snaps {
-		out = out.Merge(s)
 	}
 	return out
 }

@@ -70,19 +70,6 @@ func TestNMEmpty(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	got := GoldenSection(f, -10, 10, 1e-8)
-	if math.Abs(got-1.7) > 1e-6 {
-		t.Errorf("min = %v, want 1.7", got)
-	}
-	// Reversed interval works too.
-	got = GoldenSection(f, 10, -10, 1e-8)
-	if math.Abs(got-1.7) > 1e-6 {
-		t.Errorf("min (reversed) = %v", got)
-	}
-}
-
 func TestBisect(t *testing.T) {
 	// pred(x) = x ≤ 3.2
 	got := Bisect(func(x float64) bool { return x <= 3.2 }, 0, 10, 1e-9)

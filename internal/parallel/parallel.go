@@ -34,8 +34,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"cyclops/internal/obs"
 )
 
 // defaultWorkers is the process-wide fan-out width used when a call site
@@ -92,31 +90,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 		panic(err)
 	}
 	return out
-}
-
-// MapObs is Map for instrumented jobs: every job records metrics into its
-// own private obs.Registry, and after the fan-out completes the per-job
-// snapshots are reduced serially, in job-index order, into one merged
-// Snapshot. That keeps the determinism contract intact for observability
-// too — the merged snapshot (and its text exposition) is byte-identical
-// for any worker count, because no instrument is ever shared between jobs
-// and the reduction order never depends on scheduling.
-func MapObs[T any](n, workers int, fn func(i int, reg *obs.Registry) T) ([]T, obs.Snapshot) {
-	type job struct {
-		v    T
-		snap obs.Snapshot
-	}
-	outs := Map(n, workers, func(i int) job {
-		reg := obs.NewRegistry()
-		return job{v: fn(i, reg), snap: reg.Snapshot()}
-	})
-	vals := make([]T, n)
-	snaps := make([]obs.Snapshot, n)
-	for i, o := range outs {
-		vals[i] = o.v
-		snaps[i] = o.snap
-	}
-	return vals, obs.MergeAll(snaps)
 }
 
 // MapErr is Map for fallible jobs: it applies fn to every index in [0, n)

@@ -23,13 +23,14 @@
 //	   └──sustained ClearAfter── READMIT-PENDING ◀────────────── (clear clock
 //	                                  │unhealthy──▶ SECONDARY      starts)
 //
-// Both hysteresis windows are boundary-inclusive: with BreachAfter zero
-// the first unhealthy sample fails over, with ClearAfter zero the first
-// healthy sample re-admits — the same closed-boundary convention
-// link.Monitor uses for HoldOver and RelockDelay. Because leaving
-// SECONDARY requires ClearAfter of uninterrupted health, a completed
-// failover→readmit dwell is never shorter than ClearAfter: the policy
-// cannot flap during a recovery or a handover slew by construction.
+// Both hysteresis windows are boundary-inclusive: a breach clock started
+// at t fails over on the first unhealthy sample at or after
+// t+BreachAfter, and a clear clock re-admits at or after t+ClearAfter —
+// the same closed-boundary convention link.Monitor uses for HoldOver and
+// RelockDelay. Because leaving SECONDARY requires ClearAfter of
+// uninterrupted health, a completed failover→readmit dwell is never
+// shorter than ClearAfter: the policy cannot flap during a recovery or a
+// handover slew by construction.
 package policy
 
 import (
@@ -76,42 +77,19 @@ func (s State) String() string {
 // medium in this state.
 func (s State) OnSecondary() bool { return s == Secondary || s == ReadmitPending }
 
-// Options tune the SLO hysteresis. The zero value of each field means
-// "use the documented default"; Validate rejects negative values.
-type Options struct {
+// The SLO hysteresis windows.
+const (
 	// BreachAfter is how long the primary must stay continuously
-	// unhealthy before the controller fails over (default 50 ms — far
-	// above a realignment transient or a make-before-break handover slew,
-	// far below the 3 s SFP re-lock an occlusion costs).
-	BreachAfter time.Duration
+	// unhealthy before the controller fails over: far above a
+	// realignment transient or a make-before-break handover slew, far
+	// below the 3 s SFP re-lock an occlusion costs.
+	BreachAfter = 50 * time.Millisecond
 	// ClearAfter is how long the primary must stay continuously healthy
-	// (re-locked and inside margin) before the controller re-admits it
-	// (default 500 ms, matching HandoverOptions.FailbackAfter). This is
-	// also the minimum completed SECONDARY dwell — the no-flap floor.
-	ClearAfter time.Duration
-}
-
-// Defaults fills zero fields with the documented defaults in place.
-func (o *Options) Defaults() {
-	if o.BreachAfter <= 0 {
-		o.BreachAfter = 50 * time.Millisecond
-	}
-	if o.ClearAfter <= 0 {
-		o.ClearAfter = 500 * time.Millisecond
-	}
-}
-
-// Validate rejects negative hysteresis windows (zero always means "use
-// the default", never "disable").
-func (o Options) Validate() error {
-	if o.BreachAfter < 0 {
-		return fmt.Errorf("policy: negative BreachAfter %v", o.BreachAfter)
-	}
-	if o.ClearAfter < 0 {
-		return fmt.Errorf("policy: negative ClearAfter %v", o.ClearAfter)
-	}
-	return nil
-}
+	// (re-locked and above sensitivity) before the controller re-admits
+	// it, matching the handover failback window. This is also the
+	// minimum completed SECONDARY dwell — the no-flap floor.
+	ClearAfter = 500 * time.Millisecond
+)
 
 // Metrics instruments the policy layer. Like fault.OutageMetrics, every
 // consumer of the controller (core.Run's hybrid path, the sim hybrid slot
@@ -126,7 +104,7 @@ type Metrics struct {
 	// SecondarySeconds totals time delivered traffic rode the secondary.
 	SecondarySeconds *obs.Counter
 	// Dwell is the completed failover→readmit dwell distribution. Every
-	// observation sits at or above Options.ClearAfter — a bucket below it
+	// observation sits at or above ClearAfter — a bucket below it
 	// filling up is the flap signature the policy exists to prevent.
 	Dwell *obs.Histogram
 }
@@ -158,8 +136,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // Controller is the per-run policy state machine. Feed it one health
 // sample per tick through Observe; it is not safe for concurrent use.
 type Controller struct {
-	opts Options
-	m    *Metrics
+	breachAfter time.Duration
+	clearAfter  time.Duration
+	m           *Metrics
 
 	state       State
 	breachSince time.Duration
@@ -173,11 +152,16 @@ type Controller struct {
 	hasDwell      bool
 }
 
-// New builds a controller in the PRIMARY state. A nil Metrics disables
-// recording; Options zero fields take the documented defaults.
-func New(opts Options, m *Metrics) *Controller {
-	opts.Defaults()
-	return &Controller{opts: opts, m: m}
+// New builds a controller in the PRIMARY state with the BreachAfter and
+// ClearAfter windows. A nil Metrics disables recording.
+func New(m *Metrics) *Controller {
+	return newController(BreachAfter, ClearAfter, m)
+}
+
+// newController builds a controller with explicit hysteresis windows, so
+// the state-machine tests can use hand-computable ones.
+func newController(breachAfter, clearAfter time.Duration, m *Metrics) *Controller {
+	return &Controller{breachAfter: breachAfter, clearAfter: clearAfter, m: m}
 }
 
 // Observe feeds one tick: at is the sample time (non-decreasing), tick
@@ -221,7 +205,7 @@ func (c *Controller) Observe(at, tick time.Duration, primaryHealthy bool) State 
 }
 
 func (c *Controller) maybeFailover(at time.Duration) {
-	if at-c.breachSince < c.opts.BreachAfter {
+	if at-c.breachSince < c.breachAfter {
 		return
 	}
 	c.state = Secondary
@@ -233,7 +217,7 @@ func (c *Controller) maybeFailover(at time.Duration) {
 }
 
 func (c *Controller) maybeReadmit(at time.Duration) {
-	if at-c.clearSince < c.opts.ClearAfter {
+	if at-c.clearSince < c.clearAfter {
 		return
 	}
 	c.state = Primary
@@ -263,7 +247,7 @@ func (c *Controller) SecondaryTime() time.Duration { return c.secondaryTime }
 
 // MinSecondaryDwell is the shortest completed failover→readmit dwell, or
 // zero when no dwell has completed. By construction it is never below
-// Options.ClearAfter — the no-flap guarantee the acceptance tests pin.
+// ClearAfter — the no-flap guarantee the acceptance tests pin.
 func (c *Controller) MinSecondaryDwell() time.Duration {
 	if !c.hasDwell {
 		return 0

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"time"
+
+	"cyclops/internal/fault"
 )
 
 // ChaosParams extend the §5.4 slot model with the fault-injection
@@ -57,13 +59,13 @@ func StandbyBlockProbForSpacing(spacing float64) float64 {
 	return p
 }
 
-// PaperChaos25G returns Paper25G plus the chaos constants: a 10 dB
-// blocking threshold (the 25G budget's full margin) and the transceiver
-// config's 3 s re-lock.
+// PaperChaos25G returns Paper25G plus the chaos constants: the
+// fault.BlockDB blocking threshold (the 25G budget's full margin) and the
+// transceiver config's 3 s re-lock.
 func PaperChaos25G() ChaosParams {
 	return ChaosParams{
 		AvailabilityParams: Paper25G(),
-		BlockAttenDB:       10,
+		BlockAttenDB:       fault.BlockDB,
 		Relock:             3 * time.Second,
 	}
 }

@@ -80,18 +80,42 @@ type CorpusChaos struct {
 	// Seed derives every per-trace schedule.
 	Seed int64
 	// Params are the chaos slot-model constants (blocking threshold,
-	// re-lock, TX count, handover). Validate defaults a zero value to
+	// re-lock, TX count, handover). The run defaults a zero value to
 	// PaperChaos25G and a zero embedded AvailabilityParams to the run's
-	// Params.
+	// Params, on its own copy — the caller's CorpusChaos is never written.
 	Params ChaosParams
-	// Hybrid, when non-nil, runs the hybrid FSO + mmWave policy arm
-	// (SimulateTraceHybrid) instead of the plain chaos model. Mutually
-	// exclusive with MmWaveOnly.
-	Hybrid *HybridSlotParams
-	// MmWaveOnly, when non-nil, runs the mmWave-only arm
-	// (SimulateTraceMmWave): the fault schedules still plan per trace,
-	// but only their physical-obstruction component matters.
-	MmWaveOnly *MmWaveSlotParams
+	// Medium picks the slot model each trace runs (default FSO).
+	Medium Medium
+}
+
+// Medium selects the link a chaos corpus arm simulates.
+type Medium uint8
+
+const (
+	// FSO runs the plain chaos slot model (SimulateTraceChaos).
+	FSO Medium = iota
+	// MmWave runs the mmWave-only arm (SimulateTraceMmWave): the fault
+	// schedules still plan per trace, but only their physical-obstruction
+	// component matters.
+	MmWave
+	// Hybrid runs the hybrid FSO + mmWave policy arm
+	// (SimulateTraceHybrid).
+	Hybrid
+
+	numMedia
+)
+
+// String returns the medium's render name.
+func (m Medium) String() string {
+	switch m {
+	case FSO:
+		return "fso"
+	case MmWave:
+		return "mmwave"
+	case Hybrid:
+		return "hybrid"
+	}
+	return fmt.Sprintf("sim.Medium(%d)", uint8(m))
 }
 
 // CorpusOptions configures RunCorpus. The zero value is valid: Paper25G
@@ -135,7 +159,9 @@ type CorpusOptions struct {
 	MaxShards int
 }
 
-// Validate fills defaults in place and rejects malformed options.
+// Validate fills defaults in place and rejects malformed options. A
+// non-nil Chaos is replaced by a defaulted copy, so a caller may share
+// one CorpusChaos across runs and goroutines.
 func (o *CorpusOptions) Validate() error {
 	if o.Workers < 0 {
 		o.Workers = 0
@@ -162,15 +188,17 @@ func (o *CorpusOptions) Validate() error {
 		o.Registry = obs.Default()
 	}
 	if o.Chaos != nil {
-		if o.Chaos.Params == (ChaosParams{}) {
-			o.Chaos.Params = PaperChaos25G()
+		c := *o.Chaos
+		if c.Medium >= numMedia {
+			return fmt.Errorf("sim: unknown CorpusChaos.Medium %v", c.Medium)
 		}
-		if o.Chaos.Params.AvailabilityParams == (AvailabilityParams{}) {
-			o.Chaos.Params.AvailabilityParams = o.Params
+		if c.Params == (ChaosParams{}) {
+			c.Params = PaperChaos25G()
 		}
-		if o.Chaos.Hybrid != nil && o.Chaos.MmWaveOnly != nil {
-			return fmt.Errorf("sim: CorpusChaos.Hybrid and MmWaveOnly are mutually exclusive")
+		if c.Params.AvailabilityParams == (AvailabilityParams{}) {
+			c.Params.AvailabilityParams = o.Params
 		}
+		o.Chaos = &c
 	}
 	return nil
 }
@@ -408,13 +436,13 @@ func runShard(src CorpusSource, opts CorpusOptions, lo, hi int) shardOut {
 		var r ChaosTraceResult
 		if c := opts.Chaos; c != nil {
 			sched := fault.Plan(c.Config, c.Seed+7919*int64(i), tr.Duration())
-			switch {
-			case c.Hybrid != nil:
-				r = SimulateTraceHybrid(tr, c.Params, *c.Hybrid, &sched, reg)
-			case c.MmWaveOnly != nil:
-				r = SimulateTraceMmWave(tr, c.Params, *c.MmWaveOnly, &sched, reg)
-			default:
+			switch c.Medium {
+			case FSO:
 				r = SimulateTraceChaos(tr, c.Params, &sched, reg, nil)
+			case MmWave:
+				r = SimulateTraceMmWave(tr, c.Params, &sched, reg)
+			case Hybrid:
+				r = SimulateTraceHybrid(tr, c.Params, &sched, reg)
 			}
 		} else {
 			// The clean path registers only the per-trace sim series.

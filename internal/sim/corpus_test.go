@@ -172,11 +172,88 @@ func TestCorpusOptionsValidate(t *testing.T) {
 		{ShardSize: -1},
 		{MaxShards: -1},
 		{Resume: Checkpoint{NextShard: -1}},
+		{Chaos: &CorpusChaos{Medium: numMedia}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
 		}
 	}
+	for m, want := range map[Medium]string{FSO: "fso", MmWave: "mmwave", Hybrid: "hybrid", numMedia: "sim.Medium(3)"} {
+		if got := m.String(); got != want {
+			t.Errorf("Medium(%d).String() = %q, want %q", uint8(m), got, want)
+		}
+	}
+}
+
+// A CorpusChaos shared across runs must not carry one run's defaulted
+// slot params into the next: the second run here tightens the lateral
+// tolerance to 1 mm, so it must match a run with a fresh CorpusChaos, not
+// the first run.
+func TestRunCorpusReusedChaos(t *testing.T) {
+	src := testSource(4)
+	tight := Paper25G()
+	tight.LateralTolerance = 1e-3
+	run := func(chaos *CorpusChaos, params AvailabilityParams) CorpusRunResult {
+		opts := runOpts(1, chaos)
+		opts.Params = params
+		res, err := RunCorpus(src, opts)
+		if err != nil {
+			t.Fatalf("RunCorpus: %v", err)
+		}
+		return res
+	}
+	newChaos := func() *CorpusChaos {
+		return &CorpusChaos{Seed: 3, Params: ChaosParams{BlockAttenDB: 10, Relock: 3 * time.Second}}
+	}
+	shared := newChaos()
+	before := *shared
+	loose := run(shared, Paper25G())
+	reused := run(shared, tight)
+	fresh := run(newChaos(), tight)
+	if *shared != before {
+		t.Errorf("RunCorpus wrote the caller's CorpusChaos: %+v, was %+v", *shared, before)
+	}
+	if reused.MeanOnFraction != fresh.MeanOnFraction {
+		t.Errorf("reused CorpusChaos reads mean-on %.4f, fresh %.4f (first run %.4f)",
+			reused.MeanOnFraction, fresh.MeanOnFraction, loose.MeanOnFraction)
+	}
+	if fresh.MeanOnFraction == loose.MeanOnFraction {
+		t.Fatal("tightened tolerance did not change the run — scenario too weak")
+	}
+}
+
+// FuzzCorpusOptionsValidate: Validate never panics; options it accepts
+// carry a positive ShardSize, a Context, a Registry and non-zero Params;
+// and the caller's CorpusChaos is left untouched either way.
+func FuzzCorpusOptionsValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shard, maxShards, next, workers int, withChaos bool, medium uint8, blockDB, relockMs, lateralMm int8) {
+		opts := CorpusOptions{ShardSize: shard, MaxShards: maxShards, Workers: workers,
+			Resume: Checkpoint{NextShard: next}}
+		opts.Params.LateralTolerance = float64(lateralMm) * 1e-3
+		var chaos, before CorpusChaos
+		if withChaos {
+			chaos = CorpusChaos{Seed: int64(shard), Medium: Medium(medium), Params: ChaosParams{
+				BlockAttenDB: float64(blockDB),
+				Relock:       time.Duration(relockMs) * 100 * time.Millisecond,
+			}}
+			before = chaos
+			opts.Chaos = &chaos
+		}
+		err := opts.Validate()
+		if chaos != before {
+			t.Fatalf("Validate wrote the caller's CorpusChaos: %+v, was %+v", chaos, before)
+		}
+		if err != nil {
+			return
+		}
+		if opts.ShardSize < 1 || opts.Context == nil || opts.Registry == nil || opts.Params == (AvailabilityParams{}) {
+			t.Fatalf("accepted options left undefaulted: %+v", opts)
+		}
+		if withChaos && (opts.Chaos.Params == (ChaosParams{}) ||
+			opts.Chaos.Params.AvailabilityParams == (AvailabilityParams{})) {
+			t.Fatalf("accepted chaos params left undefaulted: %+v", opts.Chaos.Params)
+		}
+	})
 }
 
 // TestSimulateTraceChaosSlotsSink checks the run-length sink tiles the

@@ -16,65 +16,35 @@ import (
 	"cyclops/internal/trace"
 )
 
-// MmWaveSlotParams parameterize the slot-model mmWave link.
-type MmWaveSlotParams struct {
-	// PeakGoodputGbps is the delivered rate while the link is up (the
-	// 802.11ad single-carrier peak; the slot model does not grade the MCS
-	// ladder — a beam this wide is either carrying or blocked).
-	PeakGoodputGbps float64
-	// BlockAttenDB is the physical-obstruction depth at or above which
-	// the mmWave path counts as body-blocked. The haze component of a
-	// fault schedule never blocks it — fog is transparent at 60 GHz.
-	BlockAttenDB float64
-	// Recovery is the MAC-level reconnect time after a blockage clears
-	// (no optical re-lock; beam retraining plus association).
-	Recovery time.Duration
-}
-
-// PaperMmWave returns the slot-model constants matching
-// baseline.NewMmWave: the 4.6 Gbps 802.11ad peak, the 10 dB blocking
-// threshold shared with PaperChaos25G, and the 30 ms stream recovery
-// baseline.Run models.
-func PaperMmWave() MmWaveSlotParams {
-	return MmWaveSlotParams{
-		PeakGoodputGbps: 4.6,
-		BlockAttenDB:    10,
-		Recovery:        30 * time.Millisecond,
-	}
-}
-
-// HybridSlotParams parameterize a hybrid corpus arm.
-type HybridSlotParams struct {
-	// Policy tunes the failover hysteresis (zero fields: the policy
-	// package defaults — 50 ms breach, 500 ms clear).
-	Policy policy.Options
-	// Secondary is the mmWave side (zero value: PaperMmWave()).
-	Secondary MmWaveSlotParams
-	// PrimaryGoodputGbps is the delivered rate while the FSO side carries
-	// (zero: the 25G transceiver's 23.5 Gbps optimal goodput).
-	PrimaryGoodputGbps float64
-}
-
-func (p *HybridSlotParams) defaults() {
-	if p.Secondary == (MmWaveSlotParams{}) {
-		p.Secondary = PaperMmWave()
-	}
-	if p.PrimaryGoodputGbps <= 0 {
-		p.PrimaryGoodputGbps = 23.5
-	}
-}
+// The slot-model mmWave link and the hybrid arm's delivered rates. The
+// mmWave path counts as body-blocked at fault.BlockDB of physical
+// obstruction; the haze component of a fault schedule never blocks it —
+// fog is transparent at 60 GHz.
+const (
+	// mmWavePeakGbps is the delivered rate while the mmWave link is up:
+	// baseline.NewMmWave's 802.11ad single-carrier peak. The slot model
+	// does not grade the MCS ladder — a beam this wide is either carrying
+	// or blocked.
+	mmWavePeakGbps = 4.6
+	// mmWaveRecovery is the MAC-level reconnect time after a blockage
+	// clears (no optical re-lock; beam retraining plus association): the
+	// 30 ms stream recovery baseline.Run models.
+	mmWaveRecovery = 30 * time.Millisecond
+	// primaryGoodputGbps is the hybrid arm's delivered rate while the FSO
+	// side carries: the 25G transceiver's optimal goodput.
+	primaryGoodputGbps = 23.5
+)
 
 // mmSlotState is the slot-model mmWave link: blocked while the physical
 // obstruction is at depth, then down for the MAC recovery tail.
 type mmSlotState struct {
-	p            MmWaveSlotParams
 	recoverUntil time.Duration
 }
 
 // step advances one slot and reports whether the mmWave link is up.
 func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
-	if m.p.BlockAttenDB > 0 && occlDB >= m.p.BlockAttenDB {
-		m.recoverUntil = at + m.p.Recovery
+	if occlDB >= fault.BlockDB {
+		m.recoverUntil = at + mmWaveRecovery
 		return false
 	}
 	return at >= m.recoverUntil
@@ -89,10 +59,9 @@ func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
 // bookkeeping (the episodes the policy routed around), as do the
 // cyclops_sim_* and cyclops_outage_* metrics recorded into reg; the
 // delivered story is in the result and the cyclops_policy_* instruments.
-func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	hp.defaults()
-	ctl := policy.New(hp.Policy, policy.NewMetrics(reg))
-	mm := mmSlotState{p: hp.Secondary}
+func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
+	ctl := policy.New(policy.NewMetrics(reg))
+	var mm mmSlotState
 
 	var hist [31]int
 	offSlots, slotInFrame, frameOff := 0, 0, 0
@@ -114,10 +83,10 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 				secondarySlots++
 				deliveredOff = !mmUp
 				if mmUp {
-					goodputSum += hp.Secondary.PeakGoodputGbps
+					goodputSum += mmWavePeakGbps
 				}
 			} else if !off {
-				goodputSum += hp.PrimaryGoodputGbps
+				goodputSum += primaryGoodputGbps
 			}
 			if deliveredOff {
 				offSlots++
@@ -153,15 +122,12 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // MAC recovery tail is running. Misalignment never costs a slot (a 3°
 // beam tolerates the whole corpus), so every off slot is a BlockedSlot
 // and every blockage episode an Outage. Records cyclops_sim_* into reg.
-func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	if mp == (MmWaveSlotParams{}) {
-		mp = PaperMmWave()
-	}
+func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
 		return res
 	}
-	mm := mmSlotState{p: mp}
+	var mm mmSlotState
 	end := tr.Duration()
 	frameOff, slotInFrame := 0, 0
 	wasBlocked := false
@@ -173,7 +139,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		}
 		occl := fs.AttenDB - fs.HazeDB
 		up := mm.step(at, occl)
-		if blocked := mp.BlockAttenDB > 0 && occl >= mp.BlockAttenDB; blocked {
+		if blocked := occl >= fault.BlockDB; blocked {
 			if !wasBlocked {
 				res.Outages++
 			}
@@ -184,7 +150,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 
 		res.Slots++
 		if up {
-			goodputSum += mp.PeakGoodputGbps
+			goodputSum += mmWavePeakGbps
 		} else {
 			res.OffSlots++
 			res.BlockedSlots++

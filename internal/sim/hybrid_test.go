@@ -29,7 +29,7 @@ func TestHybridEmptyScheduleStaysPrimary(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr := trace.Generate(5, i, 10*time.Second, origin)
 		base := SimulateTraceChaos(tr, PaperChaos25G(), nil, nil, nil)
-		got := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{}, nil, nil)
+		got := SimulateTraceHybrid(tr, PaperChaos25G(), nil, nil)
 		if got.Failovers != 0 || got.Readmits != 0 || got.SecondarySlots != 0 {
 			t.Fatalf("trace %d: clean hybrid run switched media: %+v", i, got)
 		}
@@ -50,10 +50,9 @@ func TestHybridEmptyScheduleStaysPrimary(t *testing.T) {
 func TestHybridHazeBeatsFSO(t *testing.T) {
 	tr := trace.Generate(5, 3, 20*time.Second, geom.V(0.35, 0.25, 1.0))
 	sched := hazeSched(4*time.Second, 12*time.Second)
-	hp := HybridSlotParams{Policy: policy.Options{ClearAfter: 500 * time.Millisecond}}
 
 	fso := SimulateTraceChaos(tr, PaperChaos25G(), sched, nil, nil)
-	hy := SimulateTraceHybrid(tr, PaperChaos25G(), hp, sched, nil)
+	hy := SimulateTraceHybrid(tr, PaperChaos25G(), sched, nil)
 
 	if fso.OnFraction >= 0.95 {
 		t.Fatalf("haze fade barely hurt FSO (%v on) — scenario too weak", fso.OnFraction)
@@ -64,7 +63,7 @@ func TestHybridHazeBeatsFSO(t *testing.T) {
 	if hy.OnFraction <= fso.OnFraction {
 		t.Fatalf("hybrid on %v did not beat FSO-only %v", hy.OnFraction, fso.OnFraction)
 	}
-	if hy.MinSecondaryDwell < 500*time.Millisecond {
+	if hy.MinSecondaryDwell < policy.ClearAfter {
 		t.Fatalf("min secondary dwell %v below clear window — policy flapped", hy.MinSecondaryDwell)
 	}
 	if hy.SecondarySlots == 0 {
@@ -83,7 +82,7 @@ func TestMmWaveOnlyArm(t *testing.T) {
 	tr := trace.Generate(5, 7, 10*time.Second, geom.V(0.35, 0.25, 1.0))
 	p := PaperChaos25G()
 
-	clean := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, nil, nil)
+	clean := SimulateTraceMmWave(tr, p, nil, nil)
 	if clean.OffSlots != 0 || clean.OnFraction != 1 || clean.Outages != 0 {
 		t.Fatalf("clean mmWave arm not fully on: %+v", clean)
 	}
@@ -91,7 +90,7 @@ func TestMmWaveOnlyArm(t *testing.T) {
 		t.Fatalf("clean mmWave goodput %v, want 4.6", clean.MeanGoodputGbps)
 	}
 
-	haze := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, hazeSched(2*time.Second, 8*time.Second), nil)
+	haze := SimulateTraceMmWave(tr, p, hazeSched(2*time.Second, 8*time.Second), nil)
 	if haze.OffSlots != 0 || haze.Outages != 0 {
 		t.Fatalf("haze blocked the mmWave arm: %+v", haze)
 	}
@@ -101,7 +100,7 @@ func TestMmWaveOnlyArm(t *testing.T) {
 		DepthDB: 30, Ramp: 10 * time.Millisecond,
 	}}}
 	reg := obs.NewRegistry()
-	blocked := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, occl, reg)
+	blocked := SimulateTraceMmWave(tr, p, occl, reg)
 	if blocked.Outages != 1 {
 		t.Fatalf("Outages = %d, want 1", blocked.Outages)
 	}
@@ -120,18 +119,13 @@ func TestMmWaveOnlyArm(t *testing.T) {
 // sums) match a serial re-fold of the per-trace results.
 func TestHybridCorpusWorkerDeterminism(t *testing.T) {
 	src := trace.Source{Seed: 5, N: 48, Length: 15 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)}
-	for _, arm := range []struct {
-		name  string
-		chaos CorpusChaos
-	}{
-		{"hybrid", CorpusChaos{Config: fault.DefaultHazeConfig(), Seed: 11,
-			Hybrid: &HybridSlotParams{}}},
-		{"mmwave", CorpusChaos{Config: fault.DefaultConfig(), Seed: 11,
-			MmWaveOnly: &MmWaveSlotParams{}}},
+	for _, arm := range []CorpusChaos{
+		{Config: fault.DefaultHazeConfig(), Seed: 11, Medium: Hybrid},
+		{Config: fault.DefaultConfig(), Seed: 11, Medium: MmWave},
 	} {
-		t.Run(arm.name, func(t *testing.T) {
+		t.Run(arm.Medium.String(), func(t *testing.T) {
 			run := func(workers int) CorpusRunResult {
-				chaos := arm.chaos
+				chaos := arm
 				res, err := RunCorpus(src, CorpusOptions{
 					Chaos: &chaos, Workers: workers, ShardSize: 8,
 					KeepPerTrace: true, Registry: obs.NewRegistry(),
@@ -169,7 +163,7 @@ func TestHybridCorpusWorkerDeterminism(t *testing.T) {
 			if math.Abs(a.GoodputSlotSum-goodput) > 1e-6*math.Abs(goodput) {
 				t.Errorf("GoodputSlotSum %v, re-fold %v", a.GoodputSlotSum, goodput)
 			}
-			if arm.name == "hybrid" && a.Failovers == 0 {
+			if arm.Medium == Hybrid && a.Failovers == 0 {
 				t.Error("haze corpus drove no failovers — arm not exercised")
 			}
 		})

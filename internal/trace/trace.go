@@ -274,9 +274,9 @@ func Generate(seed int64, index int, length time.Duration, origin geom.Vec3) Tra
 // genBlock is the SoA block width of the synthesis loop: pass 1 runs the
 // state recurrence (RNG draws and OU updates) for a block of samples,
 // recording the per-sample Euler angles and positions into stack-resident
-// arrays; pass 2 builds each pose and stores it straight into the sample
-// buffer (the same per-element call chain as geom.PosesFromEulerBatch,
-// minus a staging array that cost a 64-byte store+load per sample). The
+// arrays; pass 2 builds each pose (geom.NewPose of geom.QuatFromEuler) and
+// stores it straight into the sample buffer, with no staging array — one
+// would cost a 64-byte store+load per sample. The
 // split keeps the serially-dependent recurrence and the independent pose
 // construction in separate tight loops over L1-resident data. 256 samples
 // is ~12 KB of block state. The width is purely a restructuring knob: the
