@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-smoke lint-graph-smoke verify fuzz-smoke bench bench-hotpath alloc-check metrics-smoke chaos-smoke handover-smoke arena-smoke hybrid-smoke mem-check clean
+.PHONY: all build vet test race lint lint-smoke lint-graph-smoke verify fuzz-smoke bench bench-hotpath alloc-check metrics-smoke chaos-smoke handover-smoke arena-smoke hybrid-smoke mem-check perfbench-check clean
 
 all: verify
 
@@ -70,6 +70,7 @@ verify:
 	$(MAKE) arena-smoke
 	$(MAKE) hybrid-smoke
 	$(MAKE) mem-check
+	$(MAKE) perfbench-check
 
 # Differential fuzz gate for the §5.4 slot kernel: FuzzSlotKernel drives
 # the event-driven SimulateTraceChaos and the per-slot reference with
@@ -83,12 +84,15 @@ verify:
 # FuzzCorpusOptionsValidate (~3 s) holds RunCorpus's validator to the
 # same bar and checks it never writes the caller's CorpusChaos;
 # FuzzPolicyController (~3 s) drives the hybrid policy through fuzzed
-# health runs and checks its dwell and breach floors.
+# health runs and checks its dwell and breach floors; FuzzFaultPlan (~3 s)
+# plans fuzzed fault mixes and checks window order, bounds and per-kind
+# disjointness, and Schedule.At against a brute-force reduction.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunOptionsValidate$$' -fuzztime 3s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusOptionsValidate$$' -fuzztime 3s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyController$$' -fuzztime 3s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 3s ./internal/fault/
 	@echo "fuzz-smoke: ok"
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc
@@ -179,6 +183,15 @@ hybrid-smoke:
 	grep -q 'delivered 99\.[0-9]% up' .hybrid_smoke.out
 	rm -f .hybrid_smoke_fso.prom .hybrid_smoke.prom .hybrid_smoke.out
 	@echo "hybrid-smoke: ok"
+
+# The benchmark module (perfbench/, its own go.mod) imports the corpus and
+# closed-loop APIs but sits outside the root module, so go build ./...
+# never compiles it: vet and test it in place so an API change that
+# breaks the benchmark fails here. go test rather than go build, which
+# would drop a perfbench binary into the tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@echo "perfbench-check: ok"
 
 # Memory-boundedness gate for the streaming corpus engine: a 10× larger
 # corpus must finish within a fixed live-heap envelope of the small one

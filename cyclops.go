@@ -186,9 +186,6 @@ func AngSpeedOf(s Sample) float64 { return s.AngSpeed }
 // simulation.
 type TraceResult = sim.TraceResult
 
-// CorpusResult aggregates a full §5.4 dataset run (Fig 16's data).
-type CorpusResult = sim.CorpusResult
-
 // CorpusSource is a streaming corpus: traces are produced on demand
 // (TraceSource, sim.TraceSlice) so corpus size never bounds memory.
 type CorpusSource = sim.CorpusSource
@@ -197,19 +194,15 @@ type CorpusSource = sim.CorpusSource
 // defaults (25G constants, default worker pool, aggregate-only).
 type CorpusOptions = sim.CorpusOptions
 
-// CorpusRunResult is RunCorpus's outcome: the order-insensitive aggregate
-// plus a resumable checkpoint.
+// CorpusRunResult is RunCorpus's outcome: the shard-ordered aggregate
+// plus, with KeepPerTrace, the per-trace results (Fig 16's data).
 type CorpusRunResult = sim.CorpusRunResult
-
-// CorpusCheckpoint is a resumable position in a corpus run (set
-// CorpusOptions.Resume to continue).
-type CorpusCheckpoint = sim.Checkpoint
 
 // RunCorpus streams a corpus through the §5.4 slot model — optionally
 // under fault injection (CorpusOptions.Chaos) — sharded across the worker
-// pool, bit-identical at any worker count, resumable by shard. This is
-// the unified entry point behind Fig16, fig16-faults, fig16-handover and
-// the arena engine.
+// pool, bit-identical at any worker count. This is the unified entry
+// point behind Fig16, fig16-faults, fig16-handover and fig16-hybrid; the
+// arena engine runs sim.SimulateTraceChaos per user instead.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 	return sim.RunCorpus(src, opts)
 }
@@ -295,7 +288,7 @@ type ChaosParams = sim.ChaosParams
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is an immutable point-in-time capture of a registry —
-// the form embedded in RunResult.Metrics and CorpusResult.Metrics.
+// the form embedded in RunResult.Metrics and CorpusRunResult.Metrics.
 type MetricsSnapshot = obs.Snapshot
 
 // NewMetricsRegistry builds an empty registry.

@@ -24,7 +24,10 @@ func main() {
 		r.ScatteredFraction*100)
 
 	// Close-up: the distribution's two ends.
-	per := append([]cyclops.TraceResult(nil), r.Corpus.PerTrace...)
+	per := make([]cyclops.TraceResult, len(r.Corpus.PerTrace))
+	for i, t := range r.Corpus.PerTrace {
+		per[i] = t.TraceResult
+	}
 	sort.Slice(per, func(i, j int) bool { return per[i].OnFraction < per[j].OnFraction })
 	worst, best := per[0], per[len(per)-1]
 	fmt.Printf("worst trace %-16s %.2f%% on, %4d off-slots\n", worst.ID, worst.OnFraction*100, worst.OffSlots)

@@ -553,7 +553,7 @@ func (t Table3Result) Render() string {
 
 // Fig16Result is the trace-driven availability study.
 type Fig16Result struct {
-	Corpus sim.CorpusResult
+	Corpus sim.CorpusRunResult
 	// ScatteredFraction is the share of off-slots in frames with <10
 	// off-slots (paper: >60 %).
 	ScatteredFraction float64
@@ -579,29 +579,19 @@ func Fig16Workers(seed int64, workers int) Fig16Result {
 		KeepPerTrace: true,
 	})
 	if err != nil {
-		// A context-free clean corpus run has no error source.
+		// Validate accepts every clean-corpus option set.
 		panic(err) //cyclops:panic-ok unreachable
 	}
-	corpus := sim.CorpusResult{
-		PerTrace:       make([]sim.TraceResult, len(run.PerTrace)),
-		MeanOnFraction: run.MeanOnFraction,
-		MinOnFraction:  run.MinOnFraction,
-		MaxOnFraction:  run.MaxOnFraction,
-		Metrics:        run.Metrics,
-	}
-	for i, r := range run.PerTrace {
-		corpus.PerTrace[i] = r.TraceResult
-	}
 	var off, scattered float64
-	for _, r := range corpus.PerTrace {
+	for _, r := range run.PerTrace {
 		off += float64(r.OffSlots)
 		scattered += r.ScatteredOffFraction(10) * float64(r.OffSlots)
 	}
-	res := Fig16Result{Corpus: corpus}
+	res := Fig16Result{Corpus: run}
 	if off > 0 {
 		res.ScatteredFraction = scattered / off
 	}
-	res.EffectiveGbps = corpus.MeanOnFraction * Link25G.Transceiver.OptimalGoodputGbps
+	res.EffectiveGbps = run.MeanOnFraction * Link25G.Transceiver.OptimalGoodputGbps
 	return res
 }
 
@@ -656,6 +646,20 @@ var fig16FaultsSweep = struct {
 	durs:  []time.Duration{100 * time.Millisecond, 500 * time.Millisecond},
 }
 
+// fig16FaultConfig is the fault mix of one fig16-faults / fig16-handover
+// occlusion regime: occlusions at rate per minute lasting dur, 25–45 dB
+// deep behind 10 ms ramps, over a fixed background of one 50–150 ms
+// tracker blackout per minute and one 100–300 ms stuck galvo every two.
+func fig16FaultConfig(rate float64, dur time.Duration) fault.Config {
+	return fault.Config{
+		Occlusion:        fault.ClassConfig{PerMin: rate, MinDur: dur, MaxDur: dur},
+		OcclusionDepthDB: [2]float64{25, 45},
+		OcclusionRamp:    10 * time.Millisecond,
+		Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
+		Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
+	}
+}
+
 // Fig16Faults runs the chaos sweep with the default worker pool.
 func Fig16Faults(seed int64) (Fig16FaultsResult, error) {
 	return Fig16FaultsWorkers(seed, 0)
@@ -680,15 +684,8 @@ func Fig16FaultsWorkers(seed int64, workers int) (Fig16FaultsResult, error) {
 	p := sim.PaperChaos25G()
 	for _, rate := range fig16FaultsSweep.rates {
 		for _, dur := range fig16FaultsSweep.durs {
-			cfg := fault.Config{
-				Occlusion:        fault.ClassConfig{PerMin: rate, MinDur: dur, MaxDur: dur},
-				OcclusionDepthDB: [2]float64{25, 45},
-				OcclusionRamp:    10 * time.Millisecond,
-				Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
-				Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
-			}
 			c, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
-				Chaos:   &sim.CorpusChaos{Config: cfg, Seed: seed + 1, Params: p},
+				Chaos:   &sim.CorpusChaos{Config: fig16FaultConfig(rate, dur), Seed: seed + 1, Params: p},
 				Workers: workers,
 			})
 			if err != nil {
@@ -805,13 +802,7 @@ func fig16HandoverRun(seed int64, workers int, grid fig16HandoverGrid) (Fig16Han
 	}
 	res := Fig16HandoverResult{BaselineOnFraction: base.MeanOnFraction}
 	for _, oc := range grid.occl {
-		cfg := fault.Config{
-			Occlusion:        fault.ClassConfig{PerMin: oc.rate, MinDur: oc.dur, MaxDur: oc.dur},
-			OcclusionDepthDB: [2]float64{25, 45},
-			OcclusionRamp:    10 * time.Millisecond,
-			Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
-			Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
-		}
+		cfg := fig16FaultConfig(oc.rate, oc.dur)
 		for _, tx := range grid.txCounts {
 			for si, spacing := range grid.spacings {
 				if tx <= 1 && si > 0 {

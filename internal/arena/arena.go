@@ -12,11 +12,10 @@
 // (streamed, like sim.RunCorpus): cell membership is integer arithmetic
 // on the user index, so a cell's work needs only its own and adjacent
 // cells' users — live heap is O(users-per-cell · slots), independent of
-// venue size, and a run checkpoints and resumes by cell.
+// venue size.
 package arena
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -99,16 +98,9 @@ type Options struct {
 	TraceLen time.Duration
 	// Workers bounds the cell-level fan-out (0 = parallel default).
 	Workers int
-	// Context cancels a run between cell batches.
-	Context context.Context
-	// Registry receives the merged metrics of a completed run (nil =
+	// Registry receives the merged metrics of the run (nil =
 	// obs.Default()).
 	Registry *obs.Registry
-	// Resume continues a previous run from its returned Checkpoint.
-	Resume Checkpoint
-	// MaxCells bounds how many cells this call processes (0 = all
-	// remaining) — the checkpointing window.
-	MaxCells int
 }
 
 // Validate fills defaults and rejects impossible configurations.
@@ -122,12 +114,6 @@ func (o *Options) Validate() error {
 	if o.UsersPerTX < 0 {
 		return errors.New("arena: negative UsersPerTX")
 	}
-	if o.MaxCells < 0 {
-		return errors.New("arena: negative MaxCells")
-	}
-	if o.Resume.NextCell < 0 {
-		return errors.New("arena: negative Resume.NextCell")
-	}
 	if o.UsersPerTX == 0 {
 		o.UsersPerTX = 4
 	}
@@ -136,9 +122,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		o.Workers = 0
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	if o.Registry == nil {
 		o.Registry = obs.Default()
@@ -500,50 +483,22 @@ func (a Aggregate) MeanGoodputGbps() float64 {
 	return a.GoodputSumGbps / float64(a.Served)
 }
 
-// Checkpoint is a resumable position in an arena run.
-type Checkpoint struct {
-	// NextCell is the first unprocessed ceiling cell.
-	NextCell int
-	// Done marks a completed venue.
-	Done bool
-	// Agg carries the aggregate over everything processed so far.
-	Agg Aggregate
-}
-
-// Result is a (possibly partial) arena run outcome.
+// Result is an arena run outcome.
 type Result struct {
 	Aggregate
-	Layout     Layout
-	Checkpoint Checkpoint
+	Layout Layout
 }
 
-// Run executes (or continues) an arena simulation. Identical Options —
-// any Workers value included — return the identical Result bit for bit:
-// cells are folded in cell order regardless of completion order.
+// Run executes an arena simulation. Identical Options — any Workers value
+// included — return the identical Result bit for bit: cells are folded in
+// cell order regardless of completion order.
 func Run(opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	l := NewLayout(opts.Seed, opts.Users, opts.Density)
 	nCells := l.Cells()
-	start := opts.Resume.NextCell
-	agg := opts.Resume.Agg
-	if start > nCells {
-		start = nCells
-	}
-	end := nCells
-	if opts.MaxCells > 0 && start+opts.MaxCells < end {
-		end = start + opts.MaxCells
-	}
-
-	finish := func(next int, err error) (Result, error) {
-		res := Result{Aggregate: agg, Layout: l}
-		res.Checkpoint = Checkpoint{NextCell: next, Done: next == nCells, Agg: agg}
-		if err == nil && res.Checkpoint.Done && opts.Registry != nil {
-			opts.Registry.Merge(agg.Metrics)
-		}
-		return res, err
-	}
+	res := Result{Layout: l}
 
 	batch := parallel.DefaultWorkers() * 2
 	if opts.Workers > 0 {
@@ -552,23 +507,20 @@ func Run(opts Options) (Result, error) {
 	if batch < 8 {
 		batch = 8
 	}
-	for lo := start; lo < end; lo += batch {
+	for lo := 0; lo < nCells; lo += batch {
 		hi := lo + batch
-		if hi > end {
-			hi = end
+		if hi > nCells {
+			hi = nCells
 		}
-		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers,
-			func(_ context.Context, k int) (Aggregate, error) {
-				return runCell(l, opts, lo+k), nil
-			})
-		if err != nil {
-			return finish(lo, err)
-		}
+		outs := parallel.Map(hi-lo, opts.Workers, func(k int) Aggregate {
+			return runCell(l, opts, lo+k)
+		})
 		for _, o := range outs {
-			agg.merge(o)
+			res.merge(o)
 		}
 	}
-	return finish(end, nil)
+	opts.Registry.Merge(res.Metrics)
+	return res, nil
 }
 
 // runCell simulates one ceiling cell: schedule its users against the TX,

@@ -1,8 +1,6 @@
 package arena
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -182,8 +180,8 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	if serial.Handovers == 0 && serial.Outages == 0 {
 		t.Fatal("no occlusion events fired — determinism test is vacuous")
 	}
-	if serial.Served == 0 || serial.Slots == 0 {
-		t.Fatalf("empty run: %+v", serial.Aggregate)
+	if serial.Served == 0 || serial.Slots == 0 || serial.Cells < 2 {
+		t.Fatalf("empty or single-cell run: %+v", serial.Aggregate)
 	}
 	for _, workers := range []int{2, 4} {
 		got, err := Run(testOpts(workers))
@@ -199,56 +197,28 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunResume(t *testing.T) {
-	full, err := Run(testOpts(2))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	for _, window := range []int{1, 3, 7} {
-		ck := Checkpoint{}
-		for !ck.Done {
-			opts := testOpts(2)
-			opts.Resume = ck
-			opts.MaxCells = window
-			part, err := Run(opts)
-			if err != nil {
-				t.Fatalf("window=%d: %v", window, err)
-			}
-			ck = part.Checkpoint
-		}
-		if !reflect.DeepEqual(ck, full.Checkpoint) {
-			t.Errorf("window=%d: stitched checkpoint differs from uninterrupted run", window)
-		}
-		if ck.Agg.Metrics.Exposition() != full.Metrics.Exposition() {
-			t.Errorf("window=%d: stitched metrics exposition differs", window)
-		}
-	}
-}
-
-func TestRunCancel(t *testing.T) {
-	full, err := Run(testOpts(2))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+// TestRunCellFold pins Run's reduction: the venue result is the serial,
+// cell-ordered fold of every cell's own aggregate, whatever the fan-out
+// and batch boundaries.
+func TestRunCellFold(t *testing.T) {
 	opts := testOpts(2)
-	opts.Context = ctx
-	part, err := Run(opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run returned %v", err)
-	}
-	if part.Checkpoint.Done {
-		t.Fatal("canceled run claims Done")
-	}
-	resume := testOpts(2)
-	resume.Resume = part.Checkpoint
-	rest, err := Run(resume)
+	full, err := Run(opts)
 	if err != nil {
-		t.Fatalf("resume: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if !reflect.DeepEqual(rest.Checkpoint, full.Checkpoint) {
-		t.Error("resumed-after-cancel checkpoint differs from uninterrupted run")
+	if err := opts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	l := NewLayout(opts.Seed, opts.Users, opts.Density)
+	var folded Aggregate
+	for c := 0; c < l.Cells(); c++ {
+		folded.merge(runCell(l, opts, c))
+	}
+	if !reflect.DeepEqual(folded, full.Aggregate) {
+		t.Error("cell-ordered fold differs from Run's aggregate")
+	}
+	if folded.Metrics.Exposition() != full.Metrics.Exposition() {
+		t.Error("cell-ordered fold's metrics exposition differs from Run's")
 	}
 }
 
@@ -312,8 +282,6 @@ func TestOptionsValidate(t *testing.T) {
 		{},
 		{Users: 10},
 		{Users: 10, Density: 0.5, UsersPerTX: -1},
-		{Users: 10, Density: 0.5, MaxCells: -1},
-		{Users: 10, Density: 0.5, Resume: Checkpoint{NextCell: -1}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)

@@ -39,6 +39,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -188,8 +189,9 @@ func (s *Schedule) Empty() bool { return s == nil || len(s.Windows) == 0 }
 // Overlapping occlusions take the deepest attenuation, overlapping haze
 // fades sum (independent scattering media stack), and the haze total adds
 // to the occlusion maximum; overlapping saturations take the tightest
-// limit. Every reduction is commutative, so the injected dB sequence is
-// invariant under any permutation of the window list.
+// limit. The reductions are commutative, but the scan stops at the first
+// window that starts after t, so At needs Windows in Start order — the
+// order Plan returns; a hand-built or permuted list must be sorted first.
 func (s *Schedule) At(t time.Duration) State {
 	var st State
 	if s == nil {
@@ -253,7 +255,7 @@ func (s *Schedule) String() string {
 }
 
 // ClassConfig shapes one fault class: a mean event rate and a uniform
-// duration range. PerMin <= 0 disables the class.
+// duration range. PerMin <= 0 (or NaN) disables the class.
 type ClassConfig struct {
 	// PerMin is the mean event rate, episodes per minute (exponential
 	// inter-arrivals).
@@ -331,12 +333,23 @@ func DefaultHazeConfig() Config {
 func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 	s := Schedule{Seed: seed}
 	plan := func(kind Kind, cc ClassConfig, shape func(rng *rand.Rand, w *Window)) {
-		if cc.PerMin <= 0 || cc.MaxDur <= 0 || dur <= 0 {
+		if !(cc.PerMin > 0) || cc.MaxDur <= 0 || dur <= 0 {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(kind)*7919 + 1))
-		meanGap := time.Duration(60 / cc.PerMin * float64(time.Second))
-		at := time.Duration(rng.ExpFloat64() * float64(meanGap))
+		// Each drawn gap is compared with the time left before it becomes
+		// a Duration: a rare class's gap can exceed the Duration range,
+		// where the float conversion would wrap it negative. The mean
+		// keeps its whole-nanosecond value so in-range draws are unchanged.
+		meanGap := math.Trunc(60 / cc.PerMin * float64(time.Second))
+		after := func(from time.Duration) time.Duration {
+			gap := rng.ExpFloat64() * meanGap
+			if gap >= float64(dur-from) {
+				return dur
+			}
+			return from + time.Duration(gap)
+		}
+		at := after(0)
 		for at < dur {
 			d := cc.MinDur
 			if cc.MaxDur > cc.MinDur {
@@ -351,7 +364,7 @@ func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 				shape(rng, &w)
 			}
 			s.Windows = append(s.Windows, w)
-			at = end + time.Duration(rng.ExpFloat64()*float64(meanGap))
+			at = after(end)
 		}
 	}
 	plan(Occlusion, cfg.Occlusion, func(rng *rand.Rand, w *Window) {

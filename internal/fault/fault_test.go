@@ -269,3 +269,113 @@ func TestAsymmetricRampBitCompat(t *testing.T) {
 		}
 	}
 }
+
+// atReference is Schedule.At by brute force: every window is scanned, in
+// any order, with no early exit — the deepest occlusion plus the summed
+// haze, every flag, the tightest saturation.
+func atReference(s *Schedule, t time.Duration) State {
+	var st State
+	var occl float64
+	for _, w := range s.Windows {
+		if t < w.Start || t >= w.End {
+			continue
+		}
+		switch w.Kind {
+		case Occlusion:
+			occl = max(occl, w.attenAt(t))
+		case TrackerBlackout:
+			st.TrackerBlackout = true
+		case TrackerFreeze:
+			st.TrackerFreeze = true
+		case GalvoStuck:
+			st.GalvoStuck = true
+		case GalvoSaturation:
+			if st.GalvoSatLimit == 0 || w.Limit < st.GalvoSatLimit {
+				st.GalvoSatLimit = w.Limit
+			}
+		case SolverDiverge:
+			st.SolverDiverge = true
+		case HazeFade:
+			st.HazeDB += w.attenAt(t)
+		}
+	}
+	st.AttenDB = occl + st.HazeDB
+	return st
+}
+
+// FuzzFaultPlan drives Plan through fuzzed rates, durations, ramps and run
+// lengths inside the planner's input bounds (PerMin ≤ 600, MinDur ≥ 1 ms,
+// MaxDur ≤ 10 s, which guarantee termination) and checks the schedule's
+// shape — windows sorted by (Start, Kind), 0 ≤ Start ≤ End ≤ dur, no two
+// windows of one kind overlapping — and Schedule.At against the
+// brute-force atReference at every window edge and at fuzzed instants.
+func FuzzFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, durMs uint32, occlPerMin, hazePerMin, otherPerMin float64,
+		minMs, maxMs, rampMs uint16, probe uint64) {
+		for _, r := range []float64{occlPerMin, hazePerMin, otherPerMin} {
+			if !(r <= 600) { // also rejects NaN
+				return
+			}
+		}
+		clampMs := func(ms uint16) time.Duration {
+			return time.Duration(max(1, min(int(ms), 10_000))) * time.Millisecond
+		}
+		class := func(perMin float64) ClassConfig {
+			return ClassConfig{PerMin: perMin, MinDur: clampMs(minMs), MaxDur: clampMs(maxMs)}
+		}
+		ramp := time.Duration(rampMs) * time.Millisecond
+		dur := time.Duration(durMs%120_000) * time.Millisecond
+		cfg := Config{
+			Occlusion:        class(occlPerMin),
+			OcclusionDepthDB: [2]float64{25, 45},
+			OcclusionRamp:    ramp,
+			Blackout:         class(otherPerMin),
+			Freeze:           class(otherPerMin),
+			Stuck:            class(otherPerMin),
+			Saturation:       class(otherPerMin),
+			SaturationLimit:  0.5,
+			Diverge:          class(otherPerMin),
+			Haze:             class(hazePerMin),
+			HazeDepthDB:      [2]float64{18, 30},
+			HazeRampUp:       [2]time.Duration{0, ramp},
+			HazeRampDown:     [2]time.Duration{ramp / 2, 2 * ramp},
+		}
+		s := Plan(cfg, seed, dur)
+
+		lastEnd := map[Kind]time.Duration{}
+		for i, w := range s.Windows {
+			if w.Start < 0 || w.Start > w.End || w.End > dur {
+				t.Fatalf("window %d outside [0, %v]: %+v", i, dur, w)
+			}
+			if i > 0 {
+				p := s.Windows[i-1]
+				if w.Start < p.Start || (w.Start == p.Start && w.Kind < p.Kind) {
+					t.Fatalf("windows %d, %d not in (Start, Kind) order: %+v, %+v", i-1, i, p, w)
+				}
+			}
+			if end, seen := lastEnd[w.Kind]; seen && w.Start < end {
+				t.Fatalf("window %d overlaps the previous %v window ending %v: %+v", i, w.Kind, end, w)
+			}
+			lastEnd[w.Kind] = w.End
+		}
+
+		check := func(at time.Duration) {
+			got, want := s.At(at), atReference(&s, at)
+			if got != want {
+				t.Fatalf("At(%v) = %+v, brute force %+v", at, got, want)
+			}
+			if got.HazeDB > got.AttenDB {
+				t.Fatalf("At(%v): HazeDB %v above AttenDB %v", at, got.HazeDB, got.AttenDB)
+			}
+		}
+		for _, w := range s.Windows {
+			for _, at := range []time.Duration{w.Start - 1, w.Start, w.Start + w.Ramp, w.End - 1, w.End} {
+				check(at)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(probe)))
+		for k := 0; k < 64; k++ {
+			check(time.Duration(rng.Int63n(int64(dur) + 1)))
+		}
+	})
+}

@@ -4,7 +4,7 @@
 //
 //   - a stable, sorted text exposition in Prometheus format (Exposition),
 //   - cheap value-type Snapshots with Diff/Merge, embedded in experiment
-//     results (core.RunResult.Metrics, sim.CorpusResult.Metrics),
+//     results (core.RunResult.Metrics, sim.CorpusRunResult.Metrics),
 //   - a process-wide Default registry the cyclops-bench / cyclops-sim
 //     -metrics flags dump.
 //

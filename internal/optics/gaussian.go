@@ -43,8 +43,13 @@ func DivergenceFor(w0, d, z float64) float64 {
 // The intensity profile is I(r) = (2/(πw²))·exp(-2r²/w²) (unit total
 // power). The integral over the offset disk has no closed form, so we
 // integrate numerically in polar coordinates around the aperture center.
-// The quadrature is fixed-order (64×32 midpoint), accurate to ~1e-6 for
-// the parameter ranges Cyclops uses — far below the 0.1 dB that matters.
+// The quadrature is fixed-order (64×32 midpoint). Against a 512×512
+// midpoint reference over the catalog range — w 4–16 mm, a = 12 mm,
+// offsets 0–25 mm — its absolute error is at most 1.7e-4 (worst near
+// w = 5.5 mm, dist = 1.5 mm, where capture is ≈1 and that is < 0.001 dB).
+// It is not accurate for a beam narrow against the 32-point angular
+// spacing far off center: at w = 1 mm, a = 12 mm, dist = 11 mm it returns
+// 0.33 where the reference gives 0.98.
 func CaptureFraction(w, a, dist float64) float64 {
 	if w <= 0 || a <= 0 {
 		return 0

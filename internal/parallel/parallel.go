@@ -29,7 +29,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -99,23 +98,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 // half-filled slice. A panic in fn is re-raised in the caller as a
 // *PanicError.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is MapErr with cooperative cancellation: no new index is claimed
-// once ctx is done (in-flight jobs drain), and fn receives ctx so
-// long-running jobs can stop early themselves. The determinism contract is
-// unchanged — with a ctx that never cancels, MapCtx returns exactly what
-// MapErr would for every worker count. On early stop the partial results
-// are discarded and the error precedence is: a job panic (re-raised),
-// then the lowest failing job index, then ctx.Err() verbatim (so callers
-// can match context.Canceled / DeadlineExceeded with errors.Is).
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if n <= 0 {
 		return nil, nil
 	}
@@ -130,10 +112,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 	if workers == 1 {
 		// Serial reference path: inline on the calling goroutine.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(ctx, i)
+			v, err := fn(i)
 			if err != nil {
 				return nil, fmt.Errorf("parallel: job %d: %w", i, err)
 			}
@@ -166,7 +145,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 				record(i, nil, &PanicError{Index: i, Value: r, Stack: buf})
 			}
 		}()
-		v, err := fn(ctx, i)
+		v, err := fn(i)
 		if err != nil {
 			record(i, err, nil)
 			return
@@ -174,25 +153,12 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		out[i] = v
 	}
 
-	done := ctx.Done()
-	stopped := func() bool {
-		if failed.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !stopped() {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -209,9 +175,6 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("parallel: job %d: %w", firstIdx, firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

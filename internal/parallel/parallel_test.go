@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -195,83 +194,5 @@ func TestMapErrWorkersClampedToJobs(t *testing.T) {
 	}
 	if ran.Load() != 3 {
 		t.Errorf("ran %d jobs, want 3", ran.Load())
-	}
-}
-
-func TestMapCtxMatchesMapErr(t *testing.T) {
-	job := func(_ context.Context, i int) (int, error) { return i * 3, nil }
-	want, err := MapErr(50, 4, func(i int) (int, error) { return i * 3, nil })
-	if err != nil {
-		t.Fatalf("MapErr: %v", err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := MapCtx(context.Background(), 50, workers, job)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: results differ from MapErr", workers)
-		}
-	}
-	// nil ctx is treated as Background.
-	if _, err := MapCtx(nil, 10, 2, job); err != nil {
-		t.Errorf("nil ctx: %v", err)
-	}
-}
-
-func TestMapCtxPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int64
-		got, err := MapCtx(ctx, 100, workers, func(_ context.Context, i int) (int, error) {
-			ran.Add(1)
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if got != nil {
-			t.Errorf("workers=%d: partial results returned", workers)
-		}
-		if ran.Load() != 0 {
-			t.Errorf("workers=%d: %d jobs ran under a pre-canceled ctx", workers, ran.Load())
-		}
-	}
-}
-
-func TestMapCtxCancelStopsClaiming(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := MapCtx(ctx, 10_000, 4, func(_ context.Context, i int) (int, error) {
-		if ran.Add(1) == 8 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// In-flight jobs drain, but nothing close to the full set runs.
-	if n := ran.Load(); n >= 10_000 {
-		t.Errorf("cancellation did not stop index claiming: %d jobs ran", n)
-	}
-}
-
-func TestMapCtxJobErrorBeatsCancellation(t *testing.T) {
-	sentinel := errors.New("boom")
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCtx(ctx, 100, 4, func(_ context.Context, i int) (int, error) {
-		if i == 3 {
-			cancel()
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want the job error to win over ctx.Err()", err)
-	}
-	if !strings.Contains(err.Error(), "parallel: job 3") {
-		t.Errorf("err = %v, want lowest-failing-index wrapping", err)
 	}
 }

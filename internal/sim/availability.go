@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -560,55 +559,4 @@ func recordTrace(reg *obs.Registry, slots, offSlots int, onFraction float64) {
 		"Per-trace disconnected fraction (the Fig 16 CDF's underlying distribution).",
 		[]float64{0, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1}).
 		Observe(1 - onFraction)
-}
-
-// CorpusResult aggregates a full dataset run — the data behind Fig 16.
-type CorpusResult struct {
-	PerTrace []TraceResult
-	// MeanOnFraction is the operational fraction across all traces'
-	// slots (the paper's 98.6 %).
-	MeanOnFraction float64
-	// MinOnFraction / MaxOnFraction bound the per-trace spread (95 % to
-	// 99.98 % in the paper).
-	MinOnFraction, MaxOnFraction float64
-	// Metrics is the corpus's observability snapshot: every trace
-	// simulation records into its own per-job registry, and the
-	// snapshots reduce serially in trace order — byte-identical for any
-	// worker count, like every other field here.
-	Metrics obs.Snapshot
-}
-
-func (c CorpusResult) String() string {
-	return fmt.Sprintf("corpus: mean on %.2f%%, range %.2f%%-%.2f%% over %d traces",
-		c.MeanOnFraction*100, c.MinOnFraction*100, c.MaxOnFraction*100, len(c.PerTrace))
-}
-
-// DisconnectionCDF returns the cumulative distribution of per-trace
-// disconnected percentage: point (x[i], y[i]) means a fraction y[i] of
-// traces were disconnected for at most x[i] percent of their slots — the
-// Fig 16 curve.
-func (c CorpusResult) DisconnectionCDF(points int) (xs, ys []float64) {
-	if points < 2 || len(c.PerTrace) == 0 {
-		return nil, nil
-	}
-	var maxOff float64
-	offs := make([]float64, len(c.PerTrace))
-	for i, r := range c.PerTrace {
-		offs[i] = (1 - r.OnFraction) * 100
-		if offs[i] > maxOff {
-			maxOff = offs[i]
-		}
-	}
-	for k := 0; k < points; k++ {
-		x := maxOff * float64(k) / float64(points-1)
-		count := 0
-		for _, o := range offs {
-			if o <= x {
-				count++
-			}
-		}
-		xs = append(xs, x)
-		ys = append(ys, float64(count)/float64(len(offs)))
-	}
-	return xs, ys
 }

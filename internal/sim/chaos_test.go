@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -204,7 +202,7 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 	p := PaperChaos25G()
 	p.Relock = 200 * time.Millisecond
 	chaos := &CorpusChaos{Config: fault.DefaultConfig(), Seed: 99, Params: p}
-	serial, err := RunCorpus(src, runOpts(1, chaos))
+	serial, err := runCorpus(src, runOpts(1, chaos), testShard)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -212,7 +210,7 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 		t.Fatal("default fault config injected no outages — test is vacuous")
 	}
 	for _, workers := range []int{4, 8} {
-		got, err := RunCorpus(src, runOpts(workers, chaos))
+		got, err := runCorpus(src, runOpts(workers, chaos), testShard)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -230,23 +228,6 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 		if r.OffSlots > r.Slots || r.OffSlots < 0 {
 			t.Errorf("trace %s: OffSlots = %d of %d slots", r.ID, r.OffSlots, r.Slots)
 		}
-	}
-}
-
-// A pre-canceled context stops a chaos corpus run before it simulates
-// anything and surfaces context.Canceled.
-func TestSimulateChaosCorpusCancellation(t *testing.T) {
-	traces := TraceSlice{trace.Generate(5, 1, 2*time.Second, geom.V(0.35, 0.25, 1.0))}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := runOpts(2, &CorpusChaos{Config: fault.DefaultConfig(), Seed: 1, Params: PaperChaos25G()})
-	opts.Context = ctx
-	run, err := RunCorpus(traces, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if run.Checkpoint.Done || run.Traces != 0 {
-		t.Errorf("canceled run simulated %d traces (Done=%v)", run.Traces, run.Checkpoint.Done)
 	}
 }
 

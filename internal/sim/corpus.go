@@ -1,23 +1,18 @@
 // The streaming corpus engine: RunCorpus is the one corpus entry point,
 // clean or under fault injection. A corpus is an indexed CorpusSource —
 // traces are produced on demand, never materialized as a whole — cut
-// into fixed-size shards that fan out through parallel.MapCtx and reduce
+// into fixed-size shards that fan out through parallel.Map and reduce
 // serially, in shard order, into a running aggregate. The engine's contract:
 //
-//   - bit-identical results for any worker count (the shard partition is a
-//     function of the options alone, never of the worker count, and every
-//     reduction happens serially in shard order);
+//   - bit-identical results for any worker count (the shard partition is
+//     fixed, never a function of the worker count, and every reduction
+//     happens serially in shard order);
 //   - memory bounded: live heap is O(workers · shard), independent of
-//     corpus length, unless KeepPerTrace asks for the full per-trace slice;
-//   - resumable: the returned Checkpoint restarts the run mid-corpus
-//     (Resume + MaxShards) and the stitched result is bit-identical to the
-//     uninterrupted one.
+//     corpus length, unless KeepPerTrace asks for the full per-trace slice.
 package sim
 
 import (
-	"context"
 	"fmt"
-
 	"time"
 
 	"cyclops/internal/fault"
@@ -27,10 +22,9 @@ import (
 )
 
 // CorpusSource is an indexed stream of traces. At must be a pure function
-// of i — the engine calls it from worker goroutines and may call it again
-// for the same index on a resumed run. trace.Source generates the §5.4
-// synthetic corpus this way; TraceSlice adapts an already-materialized
-// slice.
+// of i — the engine calls it from worker goroutines. trace.Source
+// generates the §5.4 synthetic corpus this way; TraceSlice adapts an
+// already-materialized slice.
 type CorpusSource interface {
 	// Len is the corpus size.
 	Len() int
@@ -44,7 +38,7 @@ type CorpusSource interface {
 // large enough. The engine consumes each trace fully (simulate, fold,
 // drop) before asking for the next one in the shard, so runShard keeps a
 // single buffer per shard and threads it through every AtInto call —
-// turning ~ShardSize per-trace sample allocations (and their clears)
+// turning ~shardSize per-trace sample allocations (and their clears)
 // into one. trace.Source implements it; sources that don't silently get
 // the plain At path.
 type ReusableSource interface {
@@ -119,13 +113,9 @@ func (m Medium) String() string {
 }
 
 // CorpusOptions configures RunCorpus. The zero value is valid: Paper25G
-// constants, no chaos, default workers, 64-trace shards, aggregate-only
-// results, metrics merged into obs.Default().
+// constants, no chaos, default workers, aggregate-only results, metrics
+// merged into obs.Default().
 type CorpusOptions struct {
-	// Context cancels the run between shard batches and inside the
-	// fan-out; nil means context.Background(). A canceled run returns the
-	// partial aggregate with a resumable Checkpoint alongside ctx's error.
-	Context context.Context
 	// Params are the §5.4 slot-model constants; the zero value means
 	// Paper25G().
 	Params AvailabilityParams
@@ -136,27 +126,14 @@ type CorpusOptions struct {
 	// 1: the serial reference path). Any value yields bit-identical
 	// results.
 	Workers int
-	// ShardSize is the number of consecutive traces per shard (≤ 0: 64).
-	// The shard partition — not the worker count — is part of the
-	// result's identity: metric histogram sums are folded shard by shard,
-	// so changing ShardSize may flip last-bit float rounding while every
-	// integer aggregate stays identical.
-	ShardSize int
 	// KeepPerTrace retains the per-trace results (for CDFs and per-trace
-	// renders). Off, the run holds only O(workers · ShardSize) results at
-	// a time — the memory-bounded mode. On a resumed run PerTrace covers
-	// only the shards this call executed.
+	// renders). Off, the run holds only O(workers · shard) results at a
+	// time — the memory-bounded mode.
 	KeepPerTrace bool
 	// Registry receives the corpus's merged metrics once, when the run
-	// completes (Checkpoint.Done). nil means obs.Default(); pass a
-	// throwaway obs.NewRegistry() to keep a run out of the process
-	// registry.
+	// completes. nil means obs.Default(); pass a throwaway
+	// obs.NewRegistry() to keep a run out of the process registry.
 	Registry *obs.Registry
-	// Resume continues a previous run from its returned Checkpoint.
-	Resume Checkpoint
-	// MaxShards caps how many shards this call executes (0: no cap) —
-	// the checkpointing window for interruptible runs.
-	MaxShards int
 }
 
 // Validate fills defaults in place and rejects malformed options. A
@@ -165,21 +142,6 @@ type CorpusOptions struct {
 func (o *CorpusOptions) Validate() error {
 	if o.Workers < 0 {
 		o.Workers = 0
-	}
-	if o.ShardSize < 0 {
-		return fmt.Errorf("sim: CorpusOptions.ShardSize %d is negative", o.ShardSize)
-	}
-	if o.ShardSize == 0 {
-		o.ShardSize = DefaultShardSize
-	}
-	if o.MaxShards < 0 {
-		return fmt.Errorf("sim: CorpusOptions.MaxShards %d is negative", o.MaxShards)
-	}
-	if o.Resume.NextShard < 0 {
-		return fmt.Errorf("sim: CorpusOptions.Resume.NextShard %d is negative", o.Resume.NextShard)
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	if o.Params == (AvailabilityParams{}) {
 		o.Params = Paper25G()
@@ -203,19 +165,21 @@ func (o *CorpusOptions) Validate() error {
 	return nil
 }
 
-// DefaultShardSize is the shard width Validate applies when
-// CorpusOptions.ShardSize is zero.
-const DefaultShardSize = 64
+// shardSize is the number of consecutive traces per shard. The shard
+// partition — not the worker count — is part of the result's identity:
+// metric histogram sums are folded shard by shard, so another width may
+// flip last-bit float rounding while every integer aggregate stays
+// identical.
+const shardSize = 64
 
 // CorpusAggregate is the running reduction of a corpus run — every field
-// folds associatively in shard order, so a resumed run accumulates into
-// the same values as an uninterrupted one.
+// folds associatively in shard order.
 type CorpusAggregate struct {
-	// Traces, Slots, OffSlots total the corpus so far.
+	// Traces, Slots, OffSlots total the corpus.
 	Traces   int
 	Slots    int
 	OffSlots int
-	// MeanOnFraction is 1 − OffSlots/Slots, recomputed after every fold.
+	// MeanOnFraction is 1 − OffSlots/Slots, computed once the fold ends.
 	MeanOnFraction float64
 	// MinOnFraction / MaxOnFraction bound the per-trace spread.
 	MinOnFraction, MaxOnFraction float64
@@ -308,27 +272,43 @@ func (a *CorpusAggregate) finalize() {
 	}
 }
 
-// Checkpoint marks how far a corpus run got. Feed it back through
-// CorpusOptions.Resume (same source, same options) to continue; the
-// stitched result is bit-identical to an uninterrupted run.
-type Checkpoint struct {
-	// NextShard is the first shard index not yet executed.
-	NextShard int
-	// Done reports that every shard has run.
-	Done bool
-	// Agg is the aggregate over shards [0, NextShard).
-	Agg CorpusAggregate
-}
-
-// CorpusRunResult is RunCorpus's outcome: the aggregate so far, the
-// resume checkpoint, and (with KeepPerTrace) the per-trace results of the
-// shards this call executed.
+// CorpusRunResult is RunCorpus's outcome: the corpus aggregate and, with
+// KeepPerTrace, the per-trace results.
 type CorpusRunResult struct {
 	CorpusAggregate
-	Checkpoint Checkpoint
-	// PerTrace holds this call's per-trace results in trace order when
+	// PerTrace holds the per-trace results in trace order when
 	// KeepPerTrace is set (clean runs leave the chaos fields zero).
 	PerTrace []ChaosTraceResult
+}
+
+// DisconnectionCDF returns the cumulative distribution of per-trace
+// disconnected percentage: point (x[i], y[i]) means a fraction y[i] of
+// traces were disconnected for at most x[i] percent of their slots — the
+// Fig 16 curve. It reads PerTrace, so the run must set KeepPerTrace.
+func (c CorpusRunResult) DisconnectionCDF(points int) (xs, ys []float64) {
+	if points < 2 || len(c.PerTrace) == 0 {
+		return nil, nil
+	}
+	var maxOff float64
+	offs := make([]float64, len(c.PerTrace))
+	for i, r := range c.PerTrace {
+		offs[i] = (1 - r.OnFraction) * 100
+		if offs[i] > maxOff {
+			maxOff = offs[i]
+		}
+	}
+	for k := 0; k < points; k++ {
+		x := maxOff * float64(k) / float64(points-1)
+		count := 0
+		for _, o := range offs {
+			if o <= x {
+				count++
+			}
+		}
+		xs = append(xs, x)
+		ys = append(ys, float64(count)/float64(len(offs)))
+	}
+	return xs, ys
 }
 
 // shardOut is one shard's contribution, reduced serially by the caller.
@@ -339,30 +319,23 @@ type shardOut struct {
 
 // RunCorpus streams a corpus through the sharded slot-model engine: clean
 // or chaos (Options.Chaos), any worker count with bit-identical results,
-// memory-bounded unless KeepPerTrace, and resumable via the returned
-// Checkpoint. On cancellation the partial result and its Checkpoint are
-// returned alongside the context's error.
+// memory-bounded unless KeepPerTrace.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
+	return runCorpus(src, opts, shardSize)
+}
+
+// runCorpus is RunCorpus at an explicit shard width, so the engine tests
+// can fold several shards of a small corpus.
+func runCorpus(src CorpusSource, opts CorpusOptions, shard int) (CorpusRunResult, error) {
 	if err := opts.Validate(); err != nil {
 		return CorpusRunResult{}, err
 	}
 	n := src.Len()
-	shardSize := opts.ShardSize
-	nShards := (n + shardSize - 1) / shardSize
+	nShards := (n + shard - 1) / shard
 
-	agg := opts.Resume.Agg
-	start := opts.Resume.NextShard
-	if start > nShards {
-		start = nShards
-	}
-	end := nShards
-	if opts.MaxShards > 0 && start+opts.MaxShards < end {
-		end = start + opts.MaxShards
-	}
-
-	res := CorpusRunResult{}
+	var res CorpusRunResult
 	if opts.KeepPerTrace {
-		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*shardSize)
+		res.PerTrace = make([]ChaosTraceResult, 0, n)
 	}
 
 	// Batches bound the in-flight shard results; the batch width affects
@@ -377,41 +350,29 @@ func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 		batch = 16
 	}
 
-	finish := func(next int, err error) (CorpusRunResult, error) {
-		agg.finalize()
-		res.CorpusAggregate = agg
-		res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
-		if err == nil && res.Checkpoint.Done {
-			opts.Registry.Merge(agg.Metrics)
-		}
-		return res, err
-	}
-
-	for lo := start; lo < end; lo += batch {
+	for lo := 0; lo < nShards; lo += batch {
 		hi := lo + batch
-		if hi > end {
-			hi = end
+		if hi > nShards {
+			hi = nShards
 		}
-		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers, func(_ context.Context, k int) (shardOut, error) {
-			shard := lo + k
-			tLo := shard * shardSize
-			tHi := tLo + shardSize
+		outs := parallel.Map(hi-lo, opts.Workers, func(k int) shardOut {
+			tLo := (lo + k) * shard
+			tHi := tLo + shard
 			if tHi > n {
 				tHi = n
 			}
-			return runShard(src, opts, tLo, tHi), nil
+			return runShard(src, opts, tLo, tHi)
 		})
-		if err != nil {
-			return finish(lo, err)
-		}
 		for _, so := range outs {
-			agg.merge(so.agg)
+			res.merge(so.agg)
 			if opts.KeepPerTrace {
 				res.PerTrace = append(res.PerTrace, so.perTrace...)
 			}
 		}
 	}
-	return finish(end, nil)
+	res.finalize()
+	opts.Registry.Merge(res.Metrics)
+	return res, nil
 }
 
 // runShard simulates traces [lo, hi) serially and folds them — results and

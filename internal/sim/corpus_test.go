@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,11 +36,14 @@ func testChaos() *CorpusChaos {
 	}
 }
 
+// testShard cuts the small test corpora into several shards, so the
+// engine tests fold across shard boundaries.
+const testShard = 8
+
 // runOpts builds engine options that stay out of the process registry.
 func runOpts(workers int, chaos *CorpusChaos) CorpusOptions {
 	return CorpusOptions{
 		Workers:      workers,
-		ShardSize:    8,
 		KeepPerTrace: true,
 		Chaos:        chaos,
 		Registry:     obs.NewRegistry(),
@@ -51,7 +53,7 @@ func runOpts(workers int, chaos *CorpusChaos) CorpusOptions {
 func TestRunCorpusWorkerDeterminism(t *testing.T) {
 	src := testSource(40)
 	for _, chaos := range []*CorpusChaos{nil, testChaos()} {
-		serial, err := RunCorpus(src, runOpts(1, chaos))
+		serial, err := runCorpus(src, runOpts(1, chaos), testShard)
 		if err != nil {
 			t.Fatalf("serial: %v", err)
 		}
@@ -63,7 +65,7 @@ func TestRunCorpusWorkerDeterminism(t *testing.T) {
 				serial.Outages, serial.Handovers)
 		}
 		for _, workers := range []int{0, 2, 4, 8} {
-			got, err := RunCorpus(src, runOpts(workers, chaos))
+			got, err := runCorpus(src, runOpts(workers, chaos), testShard)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -77,72 +79,35 @@ func TestRunCorpusWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCorpusResume proves a run interrupted at every possible shard
-// boundary and resumed stitches back to the uninterrupted result — the
-// aggregate, the checkpoint, and the concatenated per-trace slices alike.
-func TestRunCorpusResume(t *testing.T) {
-	src := testSource(30) // 4 shards of 8
-	full, err := RunCorpus(src, runOpts(2, testChaos()))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	if !full.Checkpoint.Done {
-		t.Fatal("full run not Done")
-	}
-	for _, window := range []int{1, 2, 3} {
-		var per []ChaosTraceResult
-		ck := Checkpoint{}
-		for !ck.Done {
-			opts := runOpts(2, testChaos())
-			opts.Resume = ck
-			opts.MaxShards = window
-			part, err := RunCorpus(src, opts)
-			if err != nil {
-				t.Fatalf("window=%d: %v", window, err)
-			}
-			per = append(per, part.PerTrace...)
-			ck = part.Checkpoint
-		}
-		if !reflect.DeepEqual(ck, full.Checkpoint) {
-			t.Errorf("window=%d: stitched checkpoint differs from uninterrupted run", window)
-		}
-		if !reflect.DeepEqual(per, full.PerTrace) {
-			t.Errorf("window=%d: stitched per-trace results differ from uninterrupted run", window)
-		}
-		if ck.Agg.Metrics.Exposition() != full.Metrics.Exposition() {
-			t.Errorf("window=%d: stitched metrics exposition differs", window)
-		}
-	}
-}
-
-// TestRunCorpusCancel pins the cancellation contract: a canceled run
-// returns ctx's error with a usable checkpoint, and resuming from it
-// reproduces the uninterrupted result.
-func TestRunCorpusCancel(t *testing.T) {
+// TestRunCorpusShardFold proves the shard fold is seamless: cutting the
+// corpus at any shard width — one trace per shard, a width that leaves a
+// partial last shard, several full shards, a single shard — yields the
+// same per-trace results and the same aggregate. Only the metrics
+// snapshot is left out: its histogram float sums fold shard by shard, so
+// their last bit may depend on the width.
+func TestRunCorpusShardFold(t *testing.T) {
 	src := testSource(30)
-	full, err := RunCorpus(src, runOpts(2, nil))
-	if err != nil {
-		t.Fatalf("full: %v", err)
+	fold := func(shard int) CorpusRunResult {
+		res, err := runCorpus(src, runOpts(2, testChaos()), shard)
+		if err != nil {
+			t.Fatalf("shard=%d: %v", shard, err)
+		}
+		return res
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := runOpts(2, nil)
-	opts.Context = ctx
-	part, err := RunCorpus(src, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	whole := fold(shardSize)
+	if whole.Traces != 30 || len(whole.PerTrace) != 30 || whole.Outages == 0 {
+		t.Fatalf("reference run is vacuous: %+v", whole.CorpusAggregate)
 	}
-	if part.Checkpoint.Done {
-		t.Fatal("canceled run claims Done")
-	}
-	resume := runOpts(2, nil)
-	resume.Resume = part.Checkpoint
-	rest, err := RunCorpus(src, resume)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !reflect.DeepEqual(rest.Checkpoint, full.Checkpoint) {
-		t.Error("resumed-after-cancel checkpoint differs from uninterrupted run")
+	whole.Metrics = obs.Snapshot{}
+	for _, shard := range []int{1, 7, testShard} {
+		got := fold(shard)
+		if !reflect.DeepEqual(got.PerTrace, whole.PerTrace) {
+			t.Errorf("shard=%d: per-trace results differ from the one-shard run", shard)
+		}
+		got.Metrics = obs.Snapshot{}
+		if !reflect.DeepEqual(got.CorpusAggregate, whole.CorpusAggregate) {
+			t.Errorf("shard=%d: aggregate %+v, one-shard run %+v", shard, got.CorpusAggregate, whole.CorpusAggregate)
+		}
 	}
 }
 
@@ -151,7 +116,7 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("zero options: %v", err)
 	}
-	if o.Params != Paper25G() || o.ShardSize != DefaultShardSize || o.Context == nil || o.Registry != obs.Default() {
+	if o.Params != Paper25G() || o.Registry != obs.Default() {
 		t.Errorf("zero-options defaults wrong: %+v", o)
 	}
 	chaos := CorpusOptions{Chaos: &CorpusChaos{}}
@@ -168,15 +133,8 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	if inherit.Chaos.Params.AvailabilityParams != Paper25G() || inherit.Chaos.Params.BlockAttenDB != 7 {
 		t.Errorf("chaos availability params not inherited: %+v", inherit.Chaos.Params)
 	}
-	for _, bad := range []CorpusOptions{
-		{ShardSize: -1},
-		{MaxShards: -1},
-		{Resume: Checkpoint{NextShard: -1}},
-		{Chaos: &CorpusChaos{Medium: numMedia}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
-		}
+	if bad := (CorpusOptions{Chaos: &CorpusChaos{Medium: numMedia}}); bad.Validate() == nil {
+		t.Errorf("Validate accepted an unknown medium: %+v", bad.Chaos)
 	}
 	for m, want := range map[Medium]string{FSO: "fso", MmWave: "mmwave", Hybrid: "hybrid", numMedia: "sim.Medium(3)"} {
 		if got := m.String(); got != want {
@@ -223,16 +181,15 @@ func TestRunCorpusReusedChaos(t *testing.T) {
 }
 
 // FuzzCorpusOptionsValidate: Validate never panics; options it accepts
-// carry a positive ShardSize, a Context, a Registry and non-zero Params;
-// and the caller's CorpusChaos is left untouched either way.
+// carry a non-negative Workers, a Registry and non-zero Params; and the
+// caller's CorpusChaos is left untouched either way.
 func FuzzCorpusOptionsValidate(f *testing.F) {
-	f.Fuzz(func(t *testing.T, shard, maxShards, next, workers int, withChaos bool, medium uint8, blockDB, relockMs, lateralMm int8) {
-		opts := CorpusOptions{ShardSize: shard, MaxShards: maxShards, Workers: workers,
-			Resume: Checkpoint{NextShard: next}}
+	f.Fuzz(func(t *testing.T, workers int, withChaos bool, medium uint8, blockDB, relockMs, lateralMm int8) {
+		opts := CorpusOptions{Workers: workers}
 		opts.Params.LateralTolerance = float64(lateralMm) * 1e-3
 		var chaos, before CorpusChaos
 		if withChaos {
-			chaos = CorpusChaos{Seed: int64(shard), Medium: Medium(medium), Params: ChaosParams{
+			chaos = CorpusChaos{Seed: int64(workers), Medium: Medium(medium), Params: ChaosParams{
 				BlockAttenDB: float64(blockDB),
 				Relock:       time.Duration(relockMs) * 100 * time.Millisecond,
 			}}
@@ -246,7 +203,7 @@ func FuzzCorpusOptionsValidate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if opts.ShardSize < 1 || opts.Context == nil || opts.Registry == nil || opts.Params == (AvailabilityParams{}) {
+		if opts.Workers < 0 || opts.Registry == nil || opts.Params == (AvailabilityParams{}) {
 			t.Fatalf("accepted options left undefaulted: %+v", opts)
 		}
 		if withChaos && (opts.Chaos.Params == (ChaosParams{}) ||
@@ -289,39 +246,59 @@ func TestSimulateTraceChaosSlotsSink(t *testing.T) {
 	}
 }
 
+// heapProbe is a trace.Source that samples the live heap from inside a
+// corpus run: every every-th trace request forces a GC and records
+// HeapAlloc, while the workers hold their in-flight shards. It keeps the
+// engine's AtInto buffer-reuse path.
+type heapProbe struct {
+	trace.Source
+	every int
+
+	mu   sync.Mutex
+	peak uint64
+}
+
+func (p *heapProbe) AtInto(i int, buf []trace.Sample) trace.Trace {
+	if i%p.every == 0 {
+		p.sample()
+	}
+	return p.Source.AtInto(i, buf)
+}
+
+func (p *heapProbe) sample() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc > p.peak {
+		p.peak = ms.HeapAlloc
+	}
+}
+
 // TestRunCorpusMemoryBounded is the streaming claim, measured: a 10×
 // longer corpus run in aggregate-only mode must stay within a fixed live
 // heap envelope of the small one (the engine holds O(workers·shard)
-// traces, never the corpus). The run steps through Resume/MaxShards
-// windows so retained state is sampled between batches, after a forced GC.
+// traces, never the corpus). The heap is sampled after a forced GC every
+// 16th trace during the run, and once more after it returns.
 func TestRunCorpusMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streaming-heap measurement in -short mode")
 	}
 	peak := func(n int) uint64 {
-		src := trace.Source{Seed: 11, N: n, Length: 2 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)}
-		var peak uint64
-		ck := Checkpoint{}
-		for !ck.Done {
-			res, err := RunCorpus(src, CorpusOptions{
-				Workers:   2,
-				ShardSize: 16,
-				Registry:  obs.NewRegistry(),
-				Resume:    ck,
-				MaxShards: 4,
-			})
-			if err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-			ck = res.Checkpoint
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
+		probe := &heapProbe{
+			Source: trace.Source{Seed: 11, N: n, Length: 2 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)},
+			every:  16,
 		}
-		return peak
+		res, err := RunCorpus(probe, CorpusOptions{Workers: 2, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if res.Traces != n {
+			t.Fatalf("n=%d: ran %d traces", n, res.Traces)
+		}
+		probe.sample()
+		return probe.peak
 	}
 	small := peak(160)
 	big := peak(1600)

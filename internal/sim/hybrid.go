@@ -50,6 +50,42 @@ func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
 	return at >= m.recoverUntil
 }
 
+// frameTally is the delivered-stream availability count the hybrid and
+// mmWave arms share: one verdict per slot, folded into the 30-slot frame
+// histogram with its trailing partial frame.
+type frameTally struct {
+	slots, offSlots       int
+	slotInFrame, frameOff int
+	hist                  [31]int
+}
+
+// add counts one slot.
+func (f *frameTally) add(off bool) {
+	f.slots++
+	if off {
+		f.offSlots++
+		f.frameOff++
+	}
+	f.slotInFrame++
+	if f.slotInFrame == 30 {
+		f.hist[f.frameOff]++
+		f.slotInFrame, f.frameOff = 0, 0
+	}
+}
+
+// finish closes the trailing partial frame and writes OffSlots,
+// FrameHistogram and OnFraction into r. Call it once, after the last add.
+func (f *frameTally) finish(r *TraceResult) {
+	if f.slotInFrame > 0 {
+		f.hist[f.frameOff]++
+	}
+	r.OffSlots = f.offSlots
+	r.FrameHistogram = f.hist
+	if f.slots > 0 {
+		r.OnFraction = 1 - float64(f.offSlots)/float64(f.slots)
+	}
+}
+
 // SimulateTraceHybrid runs the hybrid link policy over one trace: the FSO
 // chaos slot model and the mmWave slot link advance together, the policy
 // controller watches the FSO verdict slot by slot, and the returned
@@ -63,8 +99,7 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, sched *fault.Schedule, r
 	ctl := policy.New(policy.NewMetrics(reg))
 	var mm mmSlotState
 
-	var hist [31]int
-	offSlots, slotInFrame, frameOff := 0, 0, 0
+	var tally frameTally
 	secondarySlots := 0
 	var goodputSum float64
 
@@ -88,26 +123,13 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, sched *fault.Schedule, r
 			} else if !off {
 				goodputSum += primaryGoodputGbps
 			}
-			if deliveredOff {
-				offSlots++
-				frameOff++
-			}
-			slotInFrame++
-			if slotInFrame == 30 {
-				hist[frameOff]++
-				slotInFrame, frameOff = 0, 0
-			}
+			tally.add(deliveredOff)
 		}
 	})
-	if slotInFrame > 0 {
-		hist[frameOff]++
-	}
 	if res.Slots == 0 {
 		return res
 	}
-	res.OffSlots = offSlots
-	res.FrameHistogram = hist
-	res.OnFraction = 1 - float64(offSlots)/float64(res.Slots)
+	tally.finish(&res.TraceResult)
 	res.MeanGoodputGbps = goodputSum / float64(res.Slots)
 	res.Failovers = ctl.Failovers()
 	res.Readmits = ctl.Readmits()
@@ -128,8 +150,8 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, sched *fault.Schedule, r
 		return res
 	}
 	var mm mmSlotState
+	var tally frameTally
 	end := tr.Duration()
-	frameOff, slotInFrame := 0, 0
 	wasBlocked := false
 	var goodputSum float64
 	for at := time.Duration(0); at < end; at += p.Slot {
@@ -148,25 +170,15 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, sched *fault.Schedule, r
 			wasBlocked = false
 		}
 
-		res.Slots++
 		if up {
 			goodputSum += mmWavePeakGbps
-		} else {
-			res.OffSlots++
-			res.BlockedSlots++
-			frameOff++
 		}
-		slotInFrame++
-		if slotInFrame == 30 {
-			res.FrameHistogram[frameOff]++
-			slotInFrame, frameOff = 0, 0
-		}
+		tally.add(!up)
 	}
-	if slotInFrame > 0 {
-		res.FrameHistogram[frameOff]++
-	}
+	tally.finish(&res.TraceResult)
+	res.Slots = tally.slots
+	res.BlockedSlots = tally.offSlots
 	if res.Slots > 0 {
-		res.OnFraction = 1 - float64(res.OffSlots)/float64(res.Slots)
 		res.MeanGoodputGbps = goodputSum / float64(res.Slots)
 	}
 	recordTrace(reg, res.Slots, res.OffSlots, res.OnFraction)

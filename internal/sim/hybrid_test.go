@@ -126,10 +126,10 @@ func TestHybridCorpusWorkerDeterminism(t *testing.T) {
 		t.Run(arm.Medium.String(), func(t *testing.T) {
 			run := func(workers int) CorpusRunResult {
 				chaos := arm
-				res, err := RunCorpus(src, CorpusOptions{
-					Chaos: &chaos, Workers: workers, ShardSize: 8,
+				res, err := runCorpus(src, CorpusOptions{
+					Chaos: &chaos, Workers: workers,
 					KeepPerTrace: true, Registry: obs.NewRegistry(),
-				})
+				}, testShard)
 				if err != nil {
 					t.Fatalf("RunCorpus(workers=%d): %v", workers, err)
 				}

@@ -454,7 +454,7 @@ const DatasetTraces = 500
 // origin), produced on demand. It satisfies sim.CorpusSource, so a corpus
 // of any size runs through the sharded engine without ever being held in
 // memory. Len and At are pure functions of the fields — safe for
-// concurrent use and for re-generation on resumed runs.
+// concurrent use.
 type Source struct {
 	// Seed derives every trace's RNG (with the index).
 	Seed int64
